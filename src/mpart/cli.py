@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -28,9 +29,16 @@ class _Timeout(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MPartError(f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from exc
+
+
 def _load_matrix(args) -> pat.PatternMatrix:
     if getattr(args, "matrix_file", None):
-        return pat.parse_matrix(Path(args.matrix_file).read_text())
+        return pat.parse_matrix(_read_text(args.matrix_file))
     if args.matrix is None:
         raise MPartError("no matrix given (use --matrix or --matrix-file)")
     return pat.parse_matrix(args.matrix)
@@ -44,7 +52,7 @@ def _load_graph(args) -> Graph:
         return parse_graph6(args.graph)
     if args.edges:
         return parse_edge_list(args.edges)
-    text = Path(args.graph_file).read_text().strip()
+    text = _read_text(args.graph_file).strip()
     return parse_edge_list(text) if ";" in text else parse_graph6(text)
 
 
@@ -52,6 +60,16 @@ def _graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="graph6 string")
     p.add_argument("--edges", help="edge list: 'n; u-v, u-v, ...'")
     p.add_argument("--graph-file", help="file holding a graph6 string or edge list")
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds >= 0, got {text!r}")
+    return value
 
 
 def _default_jobs() -> int:
@@ -164,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix")
     p.add_argument("--matrix-file")
     _graph_args(p)
-    p.add_argument("--timeout", type=float, default=0)
+    p.add_argument("--timeout", type=_seconds, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-minimal", help="classify obstruction minimality")
     p.add_argument("--matrix")
     p.add_argument("--matrix-file")
     _graph_args(p)
-    p.add_argument("--timeout", type=float, default=0)
+    p.add_argument("--timeout", type=_seconds, default=0)
     p.set_defaults(func=cmd_check_minimal)
 
     p = sub.add_parser("enumerate", help="enumerate minimal obstructions in a class")
@@ -183,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--output", choices=("json", "tsv"), default="json")
     p.add_argument("--data-dir", default="data")
-    p.add_argument("--timeout", type=float, default=0)
+    p.add_argument("--timeout", type=_seconds, default=0)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("construct", help="build the explicit families")
@@ -199,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="graph-class recognition with witness")
     p.add_argument("--class", dest="class_name", required=True,
-                   choices=("split", "bipartite", "cobipartite", "chordal"))
+                   choices=sorted(set(ob.CLASS_LIMITS) - {"all"}))
     _graph_args(p)
     p.set_defaults(func=cmd_recognize)
 
@@ -226,10 +244,7 @@ def main(argv=None) -> int:
     except _Timeout:
         print(json.dumps({"result": "indeterminate", "reason": "timeout"}))
         return 3
-    except MPartError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MPartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -299,14 +299,14 @@ _all_cache: dict[int, list[Graph]] = {}
 _split_cache: dict[int, list[Graph]] = {}
 
 
-def enumerate_graphs(n: int, max_n: int = MAX_ENUM_ALL):
+def enumerate_graphs(n: int):
     """All non-isomorphic graphs on n vertices, sorted by canonical form.
 
     Built by one-vertex augmentation of the (n-1)-vertex representatives
     with canonical-form deduplication.
     """
-    if n > max_n:
-        raise TooLarge(f"n={n} above the enumeration limit {max_n}")
+    if n > MAX_ENUM_ALL:
+        raise TooLarge(f"n={n} above the enumeration limit {MAX_ENUM_ALL}")
     if n < 0:
         raise BadParameters("negative order")
     if n in _all_cache:
@@ -315,7 +315,7 @@ def enumerate_graphs(n: int, max_n: int = MAX_ENUM_ALL):
         reps = [Graph(0, ())]
     else:
         seen: dict[bytes, None] = {}
-        for parent in enumerate_graphs(n - 1, max_n=max_n):
+        for parent in enumerate_graphs(n - 1):
             base = parent.adj
             for nb in range(1 << (n - 1)):
                 adj = list(base)
@@ -329,7 +329,7 @@ def enumerate_graphs(n: int, max_n: int = MAX_ENUM_ALL):
     return list(reps)
 
 
-def enumerate_split_graphs(n: int, max_n: int = MAX_ENUM_SPLIT):
+def enumerate_split_graphs(n: int):
     """All non-isomorphic split graphs on n vertices, sorted by canonical form.
 
     Generated directly from (clique size c, independent size n-c, bipartite
@@ -337,8 +337,8 @@ def enumerate_split_graphs(n: int, max_n: int = MAX_ENUM_SPLIT):
     some clique vertex has no independent neighbor are skipped: moving such
     a vertex to the independent side yields the same graph at smaller c.
     """
-    if n > max_n:
-        raise TooLarge(f"n={n} above the split enumeration limit {max_n}")
+    if n > MAX_ENUM_SPLIT:
+        raise TooLarge(f"n={n} above the split enumeration limit {MAX_ENUM_SPLIT}")
     if n < 0:
         raise BadParameters("negative order")
     if n in _split_cache:

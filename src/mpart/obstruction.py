@@ -14,6 +14,8 @@ from pathlib import Path
 
 from .errors import BadParameters, TooLarge
 from .graph import (
+    MAX_ENUM_ALL,
+    MAX_ENUM_SPLIT,
     Graph,
     canonical_form,
     complement,
@@ -23,11 +25,9 @@ from .graph import (
     from_edges,
     to_graph6,
 )
-from .pattern import STAR, PatternMatrix, complement_matrix, make_m_kt
+from .pattern import STAR, PatternMatrix, make_m_kt
 from .recognize import is_bipartite, is_chordal
 from .solver import PartAssignment, solve
-
-CLASS_LIMITS = {"all": 8, "split": 9, "bipartite": 8, "cobipartite": 8, "chordal": 8}
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,22 @@ def minimality_certificate(G: Graph, M: PatternMatrix) -> MinimalityCertificate 
 # exhaustive enumeration per class
 # ---------------------------------------------------------------------------
 
-def _class_candidates(class_name: str, n: int):
-    if class_name == "all":
-        return enumerate_graphs(n)
-    if class_name == "split":
-        return enumerate_split_graphs(n)
-    if class_name == "bipartite":
-        return [G for G in enumerate_graphs(n) if is_bipartite(G) is not None]
-    if class_name == "chordal":
-        return [G for G in enumerate_graphs(n) if is_chordal(G) is not None]
-    raise BadParameters(f"unknown class {class_name!r}")
+def _bipartite_graphs(n: int) -> list[Graph]:
+    return [G for G in enumerate_graphs(n) if is_bipartite(G) is not None]
+
+
+# class name -> (largest order, candidates on n vertices).  The rules call the
+# generators through this module's names, so a wrapper put there sees every
+# call.  Complementing the graph maps bipartite onto cobipartite.
+_CLASSES = {
+    "all": (MAX_ENUM_ALL, lambda n: enumerate_graphs(n)),
+    "split": (MAX_ENUM_SPLIT, lambda n: enumerate_split_graphs(n)),
+    "bipartite": (MAX_ENUM_ALL, _bipartite_graphs),
+    "cobipartite": (MAX_ENUM_ALL, lambda n: [complement(G) for G in _bipartite_graphs(n)]),
+    "chordal": (MAX_ENUM_ALL,
+                lambda n: [G for G in enumerate_graphs(n) if is_chordal(G) is not None]),
+}
+CLASS_LIMITS = {name: limit for name, (limit, _) in _CLASSES.items()}
 
 
 def _worker(task):
@@ -100,43 +106,27 @@ def _worker(task):
 def enumerate_minimal_obstructions(
     M: PatternMatrix, class_name: str, n_max: int, jobs: int = 1
 ) -> EnumerationReport:
-    if class_name not in CLASS_LIMITS:
+    if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
-    if n_max > CLASS_LIMITS[class_name]:
-        raise TooLarge(f"n_max={n_max} above the {class_name} limit {CLASS_LIMITS[class_name]}")
+    limit, candidates = _CLASSES[class_name]
+    if n_max > limit:
+        raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
     t0 = time.perf_counter()
     if STAR in M.diagonal():
         return EnumerationReport(
             M, class_name, n_max, (), {}, time.perf_counter() - t0,
             note="diagonal star: every graph fits in the unrestricted part, no obstructions",
         )
-    if class_name == "cobipartite":
-        base = enumerate_minimal_obstructions(complement_matrix(M), "bipartite", n_max, jobs=jobs)
-        found = []
-        for g6, cert in base.obstructions:
-            H = complement(cert.graph)
-            co_cert = minimality_certificate(H, M)
-            assert co_cert is not None  # complement duality is exact
-            found.append((canonical_form(H), H, co_cert.witnesses))
-        return _assemble(M, class_name, n_max, found, t0)
-
     found = []
     for n in range(1, n_max + 1):
-        candidates = _class_candidates(class_name, n)
-        tasks = [(G, M) for G in candidates]
+        tasks = [(G, M) for G in candidates(n)]
         if jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
         else:
             results = [_worker(t) for t in tasks]
-        for res in results:
-            if res is not None:
-                G, witnesses = res
-                found.append((canonical_form(G), G, witnesses))
-    return _assemble(M, class_name, n_max, found, t0)
-
-
-def _assemble(M, class_name, n_max, found, t0) -> EnumerationReport:
+        found.extend((canonical_form(G), G, witnesses)
+                     for G, witnesses in filter(None, results))
     found.sort(key=lambda x: x[0])
     obstructions = []
     counts: dict[int, int] = {}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb  # noqa: F401  (re-exported convenience for callers)
 
 from .errors import BadCharacter, BadParameters, DiagonalStar, NotSquare, NotSymmetric
 
@@ -91,12 +90,6 @@ def parse_matrix(text: str) -> PatternMatrix:
     return make_matrix(rows)
 
 
-def diag_counts(M: PatternMatrix) -> tuple[int, int, int]:
-    """Counts of diagonal zeros, ones and stars, in that order."""
-    d = M.diagonal()
-    return d.count(ZERO), d.count(ONE), d.count(STAR)
-
-
 def normalize_block_form(M: PatternMatrix) -> tuple[BlockForm, PatternMatrix]:
     """Permute part indices so all zero-diagonal parts come first.
 
@@ -120,27 +113,6 @@ def block_c_has_star(M: PatternMatrix) -> bool:
     """True iff the cross block C contains a star entry."""
     block, _ = normalize_block_form(M)
     return any(STAR in row for row in block.c)
-
-
-def is_friendly(M: PatternMatrix) -> bool:
-    """True iff all star entries (if any) lie in block C."""
-    block, _ = normalize_block_form(M)
-    return not any(STAR in row for row in block.a) and not any(STAR in row for row in block.b)
-
-
-def is_crossed(M: PatternMatrix) -> bool:
-    """True iff every non-star C entry lies in an all-non-star C row or column."""
-    block, _ = normalize_block_form(M)
-    c = block.c
-    if not c or not c[0]:
-        return True
-    full_rows = [STAR not in row for row in c]
-    full_cols = [all(row[j] != STAR for row in c) for j in range(block.ell)]
-    for i, row in enumerate(c):
-        for j, e in enumerate(row):
-            if e != STAR and not full_rows[i] and not full_cols[j]:
-                return False
-    return True
 
 
 _COMPLEMENT = str.maketrans("01", "10")

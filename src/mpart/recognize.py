@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil  # noqa: F401  (used by callers checking class-size bounds)
 
 from .errors import PartNotUniform, VertexOutOfRange
 from .graph import Graph, complement

@@ -158,83 +158,29 @@ def solve(G: Graph, M: PatternMatrix, lists=None) -> PartAssignment | None:
 
 
 def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
-    """Split-specialized solving; equivalent in solvability to solve().
+    """Split-graph solving; equivalent in solvability to solve().
 
     With a star in block C the witness is read off a split partition
-    directly.  Otherwise each zero-diagonal part holds at most one
-    clique-side vertex and each one-diagonal part at most one
-    independent-side vertex, so those occupants are enumerated and the
-    residual is completed by list propagation.
+    directly, in O(n).  Otherwise the generic search decides: its forward
+    checking already keeps each zero-diagonal part to at most one clique
+    vertex and each one-diagonal part to at most one independent vertex.
     """
     from .recognize import split_partition  # local import to avoid a cycle
 
     sp = split_partition(G)
     if sp is None:
         raise NotSplit("input graph is not split")
-    block, permuted = normalize_block_form(M)
-    k, ell, m = block.k, block.ell, M.m
-    clique = sorted(sp.clique)
-    indep = sorted(sp.independent)
-
-    # path (a): a star in C gives a two-part witness immediately
-    for i in range(k):
-        for j in range(ell):
+    block, _ = normalize_block_form(M)
+    for i in range(block.k):
+        for j in range(block.ell):
             if block.c[i][j] == STAR:
-                zero_part = block.perm[i]
-                one_part = block.perm[k + j]
-                parts = [0] * G.n
-                for v in clique:
-                    parts[v] = one_part
-                for v in indep:
-                    parts[v] = zero_part
+                parts = [block.perm[i]] * G.n
+                for v in sp.clique:
+                    parts[v] = block.perm[block.k + j]
                 out = PartAssignment(tuple(parts))
                 assert validate(G, M, out)
                 return out
-
-    # path (b): enumerate occupants, complete by list propagation
-    zero_parts = [p for p in range(m) if M.rows[p][p] == ZERO]
-    one_parts = [p for p in range(m) if M.rows[p][p] == ONE]
-    rows = M.rows
-    adj = G.adj
-
-    def compatible(chosen, v, p) -> bool:
-        for (w, q) in chosen:
-            e = rows[p][q]
-            if e != STAR and (e == ONE) != bool(adj[v] >> w & 1):
-                return False
-        return True
-
-    def branch(idx: int, chosen: list[tuple[int, int]]):
-        if idx == len(zero_parts) + len(one_parts):
-            fixed = dict(chosen)
-            one_set = frozenset(one_parts)
-            zero_set = frozenset(zero_parts)
-            allowed = []
-            for v in range(G.n):
-                if v in fixed:
-                    allowed.append(frozenset((fixed[v],)))
-                else:
-                    allowed.append(one_set if v in clique_set else zero_set)
-            return solve(G, M, ListConstraint(tuple(allowed)))
-        if idx < len(zero_parts):
-            p = zero_parts[idx]
-            pool = clique
-        else:
-            p = one_parts[idx - len(zero_parts)]
-            pool = indep
-        used = {v for v, _ in chosen}
-        for v in pool:
-            if v in used or not compatible(chosen, v, p):
-                continue
-            chosen.append((v, p))
-            result = branch(idx + 1, chosen)
-            if result is not None:
-                return result
-            chosen.pop()
-        return branch(idx + 1, chosen)  # part left without an occupant
-
-    clique_set = set(clique)
-    return branch(0, [])
+    return solve(G, M)
 
 
 def count_partitions(G: Graph, M: PatternMatrix) -> int:

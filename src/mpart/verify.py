@@ -7,7 +7,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import product
-from math import ceil
+from math import ceil, comb
 
 from . import graph as gr
 from . import obstruction as ob
@@ -118,7 +118,7 @@ def check_theorem5(deep: bool = False):
         status, _ = ob.classify_minimality(G, M)
         ok = ok and size_ok and split_ok and status == "minimal"
         details.append(f"n={n}: {G.n} vertices, split={split_ok}, {status}")
-    sizes_ok = all(ob.theorem5_size(n) == 4 * n + 1 + pat.comb(2 * n, n) for n in range(1, 11))
+    sizes_ok = all(ob.theorem5_size(n) == 4 * n + 1 + comb(2 * n, n) for n in range(1, 11))
     ok = ok and sizes_ok
     return ok, "; ".join(details)
 

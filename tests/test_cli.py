@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mpart import graph as gr
 from mpart import pattern as pat
 from mpart import solver as sv
@@ -51,6 +53,15 @@ class TestSolve:
         rc, _ = run_cli("solve", "--matrix", "0*;*0", "--graph", C5,
                         "--edges", "2; 0-1")
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, other", [("--matrix-file", ("--graph", C5)),
+                                             ("--graph-file", ("--matrix", "0*;*1"))])
+    def test_non_utf8_file_exit_2(self, flag, other, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xff\xfe0*;*1")
+        rc, _ = run_cli("solve", flag, str(path), *other)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCheckMinimal:
@@ -144,15 +155,22 @@ class TestRecognize:
 
 
 class TestTimeout:
-    def test_exit_3(self):
+    def test_exit_3(self, tmp_path):
         # fresh process so enumeration caches cannot make this fast
         proc = subprocess.run(
             [sys.executable, "-m", "mpart", "enumerate", "--matrix", "0*;*0",
              "--class", "all", "--max-n", "8", "--timeout", "0.2",
-             "--data-dir", "/tmp/mpart-timeout-test"],
+             "--data-dir", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["result"] == "indeterminate"
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_value_exit_2(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--matrix", "0*;*0", "--graph", C5, "--timeout", value])
+        assert exc.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

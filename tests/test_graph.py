@@ -170,6 +170,11 @@ class TestEnumeration:
         assert len(gr.enumerate_graphs(3)) == 4
         assert len(gr.enumerate_graphs(4)) == 11
 
+    def test_oeis_counts(self):
+        # A000088 (all graphs) and A048194 (split graphs) at the full range
+        assert [len(gr.enumerate_graphs(n)) for n in (7, 8)] == [1044, 12346]
+        assert [len(gr.enumerate_split_graphs(n)) for n in (7, 8, 9)] == [164, 557, 2223]
+
     def test_sorted_and_unique(self):
         forms = [gr.canonical_form(G) for G in gr.enumerate_graphs(6)]
         assert forms == sorted(forms)

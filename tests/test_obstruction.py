@@ -1,5 +1,6 @@
 import json
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -96,6 +97,21 @@ class TestEnumeration:
             assert rec.is_cobipartite(cert.graph) is not None
             assert ob.is_obstruction(cert.graph, pat.parse_matrix("1"))
 
+    @pytest.mark.parametrize("rows", ["1", "0*;*1", "01;11"])
+    def test_cobipartite_is_complement_of_bipartite(self, rows):
+        # at full range: the cobipartite catalog of M is the complement of the
+        # bipartite catalog of the complement matrix, graph for graph
+        M = pat.parse_matrix(rows)
+        co = ob.enumerate_minimal_obstructions(M, "cobipartite", 8)
+        bip = ob.enumerate_minimal_obstructions(pat.complement_matrix(M), "bipartite", 8)
+        want = sorted((gr.complement(cert.graph) for _, cert in bip.obstructions),
+                      key=gr.canonical_form)
+        assert [g6 for g6, _ in co.obstructions] == [gr.to_graph6(H) for H in want]
+        assert co.counts == bip.counts
+        for _, cert in co.obstructions:
+            for v, w in enumerate(cert.witnesses):
+                assert sv.validate(gr.delete_vertex(cert.graph, v), M, w)
+
     def test_parallel_matches_sequential(self):
         M = pat.make_kl_matrix(2, 0)
         seq = ob.enumerate_minimal_obstructions(M, "all", 6, jobs=1)
@@ -117,7 +133,7 @@ class TestTheorem5:
     def test_sizes(self):
         for n in (1, 2):
             M, G = ob.construct_theorem5(n)
-            assert G.n == ob.theorem5_size(n) == 4 * n + 1 + pat.comb(2 * n, n)
+            assert G.n == ob.theorem5_size(n) == 4 * n + 1 + comb(2 * n, n)
             assert M == pat.make_m_kt(2 * n + 1, n)
 
     def test_clique_structure(self):
@@ -141,6 +157,15 @@ class TestTheorem5:
     def test_solve_split_agrees_on_n1(self):
         M, G = ob.construct_theorem5(1)
         assert sv.solve_split(G, M) is None
+
+    def test_solve_split_agrees_on_n2_and_deletions(self):
+        M, G = ob.construct_theorem5(2)
+        for H in [G] + [gr.delete_vertex(G, v) for v in range(G.n)]:
+            s1 = sv.solve(H, M)
+            s2 = sv.solve_split(H, M)
+            assert (s1 is None) == (s2 is None) == (H is G)
+            if s2 is not None:
+                assert sv.validate(H, M, s2)
 
     def test_bad_parameters(self):
         with pytest.raises(errors.BadParameters):

@@ -35,17 +35,6 @@ class TestParse:
             pat.parse_matrix("02;20")
 
 
-class TestDiagCounts:
-    def test_split_pattern(self):
-        assert pat.diag_counts(pat.parse_matrix("0*;*1")) == (1, 1, 0)
-
-    def test_m31(self):
-        assert pat.diag_counts(pat.make_m_kt(3, 1)) == (3, 0, 0)
-
-    def test_single_star(self):
-        assert pat.diag_counts(pat.parse_matrix("*")) == (0, 0, 1)
-
-
 class TestBlockForm:
     def test_swap(self):
         block, permuted = pat.normalize_block_form(pat.parse_matrix("1*;*0"))
@@ -59,6 +48,9 @@ class TestBlockForm:
         assert block.a == ("0",)
         assert block.b == ("1",)
         assert block.c == ("*",)
+        block, _ = pat.normalize_block_form(pat.parse_matrix("0*1*;*0*0;1*1*;*0*1"))
+        assert block.perm == (0, 1, 2, 3)
+        assert block.c == ("1*", "*0")
 
     def test_diagonal_star(self):
         with pytest.raises(errors.DiagonalStar):
@@ -76,21 +68,6 @@ class TestPredicates:
         assert pat.block_c_has_star(pat.parse_matrix("0*;*1"))
         assert not pat.block_c_has_star(pat.parse_matrix("01;11"))
         assert not pat.block_c_has_star(pat.make_m_kt(3, 1))  # ell=0, C empty
-
-    def test_friendly(self):
-        assert pat.is_friendly(pat.parse_matrix("0*;*1"))
-        assert not pat.is_friendly(pat.make_m_kt(3, 1))
-        assert pat.is_friendly(pat.parse_matrix("01;11"))
-
-    def test_crossed(self):
-        assert pat.is_crossed(pat.parse_matrix("01;11"))
-        # C = [[1,*],[*,0]]: each non-star entry has stars in its row and column
-        M = pat.parse_matrix("0*1*;*0*0;1*1*;*0*1")
-        block, _ = pat.normalize_block_form(M)
-        assert block.c == ("1*", "*0")
-        assert not pat.is_crossed(M)
-        # all-star C is vacuously crossed
-        assert pat.is_crossed(pat.parse_matrix("0*;*1"))
 
 
 def random_symmetric(rng, m, alphabet="01*"):
@@ -131,10 +108,8 @@ class TestFamilies:
         for k in range(2, 7):
             for t in range(1, k):
                 M = pat.make_m_kt(k, t)
-                assert pat.diag_counts(M) == (k, 0, 0)
+                assert M.diagonal() == "0" * k
                 assert sum(r.count("1") for r in M.rows) == 2 * t
-                if t <= k - 2:
-                    assert not pat.is_friendly(M)
 
     def test_kl_matrices(self):
         assert rows(pat.make_kl_matrix(1, 1)) == ["0*", "*1"]
