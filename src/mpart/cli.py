@@ -238,7 +238,10 @@ def main(argv=None) -> int:
             raise _Timeout
 
         signal.signal(signal.SIGALRM, _raise)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, timeout)
+        except OverflowError as exc:
+            parser.error(f"argument --timeout: {timeout:g} seconds is too large for the timer ({exc})")
     try:
         return args.func(args)
     except _Timeout:

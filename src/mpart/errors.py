@@ -52,9 +52,5 @@ class PartOutOfRange(MPartError):
     pass
 
 
-class ListPartOutOfRange(MPartError):
-    pass
-
-
 class PartNotUniform(MPartError):
     pass

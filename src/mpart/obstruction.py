@@ -5,6 +5,7 @@ closed-form size bounds."""
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -111,6 +112,8 @@ def enumerate_minimal_obstructions(
     limit, candidates = _CLASSES[class_name]
     if n_max > limit:
         raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
+    # the pool forks all its workers at once; more than the CPUs gain nothing
+    jobs = min(jobs, os.cpu_count() or 1)
     t0 = time.perf_counter()
     if STAR in M.diagonal():
         return EnumerationReport(
@@ -232,13 +235,20 @@ def matrix_slug(M: PatternMatrix) -> str:
     return "-".join(r.replace("*", "s") for r in M.rows)
 
 
-def report_to_dict(report: EnumerationReport) -> dict:
+def _summary(report: EnumerationReport) -> dict:
+    """The fields the JSON report and the catalog manifest share."""
     return {
         "matrix": report.matrix.to_text(),
         "class": report.class_name,
         "n_max": report.n_max,
         "note": report.note,
         "counts": {str(n): c for n, c in sorted(report.counts.items())},
+    }
+
+
+def report_to_dict(report: EnumerationReport) -> dict:
+    return {
+        **_summary(report),
         "obstructions": [
             {
                 "n": cert.graph.n,
@@ -283,14 +293,6 @@ def save_catalog(report: EnumerationReport, root, version: str) -> Path:
             "star_free_order_bound": feder2008_bound(k, ell)
             if all(STAR not in r for r in report.matrix.rows) else None,
         }
-    manifest = {
-        "matrix": report.matrix.to_text(),
-        "class": report.class_name,
-        "n_max": report.n_max,
-        "note": report.note,
-        "counts": {str(n): c for n, c in sorted(report.counts.items())},
-        "bounds": bounds,
-        "version": version,
-    }
+    manifest = {**_summary(report), "bounds": bounds, "version": version}
     (base / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return base

@@ -22,84 +22,29 @@ class HomogeneityReport:
     max_class_size: int
 
 
-def _is_split_degree_sequence(G: Graph) -> bool:
-    # Hammer-Simeone: sum of the h largest degrees equals h(h-1) plus the rest,
-    # where h = max{i : d_i >= i-1} over the non-increasing degree sequence.
-    d = sorted((G.degree(v) for v in range(G.n)), reverse=True)
-    h = 0
-    for i, deg in enumerate(d, start=1):
-        if deg >= i - 1:
-            h = i
-    return sum(d[:h]) == h * (h - 1) + sum(d[h:])
-
-
-def _max_clique_size(G: Graph) -> int:
-    adj = G.adj
-    best = 0
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        t = cand
-        while t:
-            if size + t.bit_count() <= best:
-                return
-            low = t & -t
-            v = low.bit_length() - 1
-            t ^= low
-            expand(t & adj[v], size + 1)
-
-    expand((1 << G.n) - 1, 0)
-    return best
-
-
-def _lex_least_split_clique(G: Graph, c: int) -> list[int] | None:
-    """Lexicographically least c-clique whose complement is independent."""
-    n, adj = G.n, G.adj
-    full = (1 << n) - 1
-    chosen: list[int] = []
-
-    def rest_independent(cmask: int) -> bool:
-        rest = full & ~cmask
-        t = rest
-        while t:
-            low = t & -t
-            v = low.bit_length() - 1
-            t ^= low
-            if adj[v] & rest:
-                return False
-        return True
-
-    def dfs(start: int, common: int, cmask: int) -> bool:
-        if len(chosen) == c:
-            return rest_independent(cmask)
-        for v in range(start, n - (c - len(chosen)) + 1):
-            if chosen and not (common >> v & 1):
-                continue
-            chosen.append(v)
-            if dfs(v + 1, (common & adj[v]) if len(chosen) > 1 else adj[v], cmask | 1 << v):
-                return True
-            chosen.pop()
-        return False
-
-    if dfs(0, full, 0):
-        return list(chosen)
-    return None
-
-
 def split_partition(G: Graph) -> SplitPartition | None:
     """A split partition, or None; the clique side is as large as possible
-    and lexicographically least among valid cliques of that size."""
-    if not _is_split_degree_sequence(G):
+    and lexicographically least among valid cliques of that size.
+
+    Read off the degree sequence in O(n log n) (Hammer and Simeone, The
+    splittance of a graph, 1981).  Order the vertices by (-degree, index) and
+    let h = max{i : d_i >= i-1}; G is split iff the h largest degrees sum to
+    h(h-1) plus the rest, and then omega = h.  Every vertex of degree >= h lies
+    in every maximum split clique.  Any choice among the degree-(h-1)
+    vertices is valid, because an independent vertex of degree h-1 misses
+    exactly the one clique vertex with no independent neighbour; so taking
+    the lowest indices gives the lexicographically least clique.
+    """
+    deg = [G.degree(v) for v in range(G.n)]
+    order = sorted(range(G.n), key=lambda v: (-deg[v], v))
+    d = [deg[v] for v in order]
+    h = 0
+    for i, di in enumerate(d, start=1):
+        if di >= i - 1:
+            h = i
+    if sum(d[:h]) != h * (h - 1) + sum(d[h:]):
         return None
-    omega = _max_clique_size(G)
-    for c in range(omega, -1, -1):
-        clique = _lex_least_split_clique(G, c)
-        if clique is not None:
-            rest = frozenset(range(G.n)) - set(clique)
-            return SplitPartition(frozenset(clique), rest)
-    return None  # unreachable for split graphs
+    return SplitPartition(frozenset(order[:h]), frozenset(order[h:]))
 
 
 def is_bipartite(G: Graph):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ListPartOutOfRange, NotSplit, PartOutOfRange, TooLarge
+from .errors import NotSplit, PartOutOfRange, TooLarge
 from .graph import Graph
 from .pattern import ONE, STAR, ZERO, PatternMatrix, normalize_block_form
 
@@ -25,13 +25,6 @@ class PartAssignment:
 
     def to_json(self) -> str:
         return json.dumps({"parts": list(self.parts)})
-
-
-@dataclass(frozen=True)
-class ListConstraint:
-    """Per-vertex allowed part indices."""
-
-    allowed: tuple[frozenset[int], ...]
 
 
 def _parts_of(assignment) -> tuple[int, ...]:
@@ -63,39 +56,17 @@ def validate(G: Graph, M: PatternMatrix, assignment) -> bool:
     return True
 
 
-def _domains(n: int, m: int, lists) -> list[int] | None:
-    full = (1 << m) - 1
-    if lists is None:
-        return [full] * n
-    allowed = lists.allowed if isinstance(lists, ListConstraint) else lists
-    if len(allowed) != n:
-        raise ListPartOutOfRange(f"lists cover {len(allowed)} of {n} vertices")
-    dom = []
-    for s in allowed:
-        mask = 0
-        for p in s:
-            if not (0 <= p < m):
-                raise ListPartOutOfRange(f"list part {p} outside 0..{m - 1}")
-            mask |= 1 << p
-        if mask == 0:
-            return None  # empty list: immediately infeasible
-        dom.append(mask)
-    return dom
-
-
-def solve(G: Graph, M: PatternMatrix, lists=None) -> PartAssignment | None:
-    """Find an assignment satisfying the matrix (and lists), or prove none exists."""
+def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
+    """Find an assignment satisfying the matrix, or prove none exists."""
     n, m = G.n, M.m
     diag = M.diagonal()
-    if lists is None and STAR in diag:
+    if STAR in diag:
         # an unrestricted diagonal part can absorb the whole graph
         return PartAssignment((diag.index(STAR),) * n)
-    dom = _domains(n, m, lists)
-    if dom is None:
-        return None
     if n == 0:
         return PartAssignment(())
 
+    dom = [(1 << m) - 1] * n
     rows = M.rows
     adj = G.adj
     adj_ok = [sum(1 << q for q in range(m) if rows[p][q] != ZERO) for p in range(m)]
@@ -160,10 +131,11 @@ def solve(G: Graph, M: PatternMatrix, lists=None) -> PartAssignment | None:
 def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     """Split-graph solving; equivalent in solvability to solve().
 
-    With a star in block C the witness is read off a split partition
-    directly, in O(n).  Otherwise the generic search decides: its forward
-    checking already keeps each zero-diagonal part to at most one clique
-    vertex and each one-diagonal part to at most one independent vertex.
+    With a star in block C the witness is read off the split partition
+    without search; split_partition sorts the degree sequence, O(n log n).
+    Otherwise the generic search decides: its forward checking already
+    keeps each zero-diagonal part to at most one clique vertex and each
+    one-diagonal part to at most one independent vertex.
     """
     from .recognize import split_partition  # local import to avoid a cycle
 

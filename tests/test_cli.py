@@ -165,7 +165,7 @@ class TestTimeout:
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["result"] == "indeterminate"
 
-    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "1e10", "1e300"])
     def test_bad_value_exit_2(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--matrix", "0*;*0", "--graph", C5, "--timeout", value])

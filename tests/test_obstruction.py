@@ -118,6 +118,32 @@ class TestEnumeration:
         par = ob.enumerate_minimal_obstructions(M, "all", 6, jobs=2)
         assert [g6 for g6, _ in seq.obstructions] == [g6 for g6, _ in par.obstructions]
 
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        # the pool forks all max_workers processes at its first submit
+        seen = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ob, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(ob.os, "cpu_count", lambda: 3)
+        M = pat.make_kl_matrix(2, 0)
+        seq = ob.enumerate_minimal_obstructions(M, "all", 5, jobs=1)
+        assert seen == []
+        par = ob.enumerate_minimal_obstructions(M, "all", 5, jobs=5000)
+        assert set(seen) == {3}
+        assert ob.report_to_json(par) == ob.report_to_json(seq)
+
     def test_obstruction_heredity(self):
         # a minimal obstruction has no obstruction among proper induced subgraphs
         M = pat.make_kl_matrix(1, 1)

@@ -50,6 +50,36 @@ class TestSplitPartition:
                 for v in sp.independent:
                     assert u == v or not G.has_edge(u, v)
 
+    def test_brute_force_oracle(self):
+        # every labelled graph on n <= 6 vertices: the clique side is the
+        # lex-least of the largest vertex sets K that are cliques with V - K
+        # independent, and None means there is no such K
+        for n in range(7):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+            def inside(K):
+                return sum(1 << i for i, (u, v) in enumerate(pairs) if K >> u & K >> v & 1)
+
+            full = (1 << n) - 1
+            # (pairs inside K, pairs inside V - K, K) by size, then lex order
+            subsets = sorted(
+                ((inside(K), inside(full ^ K), K) for K in range(1 << n)),
+                key=lambda t: (-t[2].bit_count(), [v for v in range(n) if t[2] >> v & 1]))
+            for emask in range(1 << len(pairs)):
+                want = next((K for in_k, out_k, K in subsets
+                             if emask & in_k == in_k and not emask & out_k), None)
+                adj = [0] * n
+                for i, (u, v) in enumerate(pairs):
+                    if emask >> i & 1:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                sp = rec.split_partition(gr.Graph(n, tuple(adj)))
+                if want is None:
+                    assert sp is None
+                else:
+                    assert sp.clique == {v for v in range(n) if want >> v & 1}
+                    assert sp.independent == set(range(n)) - sp.clique
+
     def test_closed_under_complement(self):
         for n in range(1, 7):
             for G in gr.enumerate_graphs(n):

@@ -73,26 +73,6 @@ class TestSolve:
                 assert sv.validate(G, M, w)
 
 
-class TestLists:
-    def test_lists_respected(self):
-        M = pat.make_kl_matrix(2, 0)
-        G = gr.cycle(4)
-        w = sv.solve(G, M, [{1}, {0}, {1}, {0}])
-        assert w.parts == (1, 0, 1, 0)
-
-    def test_empty_list_infeasible(self):
-        assert sv.solve(gr.empty(1), pat.parse_matrix("0"), [set()]) is None
-
-    def test_list_part_out_of_range(self):
-        with pytest.raises(errors.ListPartOutOfRange):
-            sv.solve(gr.empty(1), pat.parse_matrix("0"), [{3}])
-
-    def test_lists_block_diagonal_star_shortcut(self):
-        # with lists present the unrestricted diagonal part is not a free pass
-        M = pat.parse_matrix("0*;**")
-        assert sv.solve(gr.complete(2), M, [{0}, {0}]) is None
-
-
 class TestCountPartitions:
     def test_empty_graph(self):
         assert sv.count_partitions(gr.empty(0), pat.parse_matrix("0*;*1")) == 1
