@@ -72,6 +72,16 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of jobs >= 1, got {text!r}")
+    return value
+
+
 def _default_jobs() -> int:
     try:
         return max(1, int(os.environ.get("MPART_JOBS", "1")))
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_name", default="all",
                    choices=sorted(ob.CLASS_LIMITS))
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
     p.add_argument("--output", choices=("json", "tsv"), default="json")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--timeout", type=_seconds, default=0)

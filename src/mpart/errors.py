@@ -2,7 +2,12 @@
 
 
 class MPartError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors that bad input or parameters raise."""
+
+
+class InternalError(RuntimeError):
+    """A broken invariant of the engine: a bug, not bad input, so the CLI
+    lets it surface as a traceback rather than an input error."""
 
 
 # pattern matrix errors

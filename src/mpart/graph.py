@@ -2,13 +2,14 @@
 
 Supports up to 64 vertices (single machine word per row).  Includes graph6
 serialization, an exact canonical form used to deduplicate isomorphs, and
-exhaustive generation of non-isomorphic graphs and split graphs.
+exhaustive generation of non-isomorphic graphs and split graphs together with
+each graph's deck (the classes of its one-vertex deletions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cache
 
 from .errors import BadParameters, MalformedGraph6, SelfLoop, TooLarge, VertexOutOfRange
 
@@ -17,7 +18,7 @@ MAX_ENUM_ALL = 8
 MAX_ENUM_SPLIT = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable graph; adj[v] is the neighbor bitmask of vertex v."""
 
@@ -295,80 +296,81 @@ def canonical_graph(G: Graph) -> Graph:
 # exhaustive non-isomorphic generation
 # ---------------------------------------------------------------------------
 
-_all_cache: dict[int, list[Graph]] = {}
-_split_cache: dict[int, list[Graph]] = {}
+def _check_order(n: int, limit: int, what: str) -> None:
+    if n > limit:
+        raise TooLarge(f"n={n} above the {what}enumeration limit {limit}")
+    if n < 0:
+        raise BadParameters("negative order")
+
+
+@cache
+def _augment(n: int, split: bool) -> tuple[tuple[Graph, ...], tuple[tuple[int, ...], ...]]:
+    """(graphs, decks) on n vertices, all graphs or split graphs only.
+
+    Every graph of the class on n - 1 vertices (the parents, in their list
+    order) gets a new vertex with each possible neighbourhood; split children
+    must pass the split test.  Both classes are hereditary, so every graph of
+    the class arises, and from exactly the parents isomorphic to its one-vertex
+    deletions: the parent indices recorded per canonical form are its deck.
+    """
+    if n == 0:
+        return (Graph(0, ()),), ((),)
+    if split:
+        from .recognize import split_partition  # recognize imports this module
+    top = 1 << (n - 1)
+    decks: dict[bytes, list[int]] = {}
+    for p, parent in enumerate(_augment(n - 1, split)[0]):
+        base = parent.adj
+        for nb in range(top):
+            adj = [row | top if nb >> v & 1 else row for v, row in enumerate(base)]
+            adj.append(nb)
+            child = Graph(n, tuple(adj))
+            if split and split_partition(child) is None:
+                continue
+            deck = decks.setdefault(canonical_form(child), [])
+            if not deck or deck[-1] != p:
+                deck.append(p)
+    forms = sorted(decks)
+    packed = tuple(tuple(decks.pop(f)) for f in forms)  # pop: free each list as it is packed
+    return tuple(graph_from_canonical_form(f) for f in forms), packed
 
 
 def enumerate_graphs(n: int):
     """All non-isomorphic graphs on n vertices, sorted by canonical form.
 
     Built by one-vertex augmentation of the (n-1)-vertex representatives
-    with canonical-form deduplication.
+    with canonical-form deduplication; `graph_decks(n)` holds what the
+    augmentation learns about each graph's one-vertex deletions.
     """
-    if n > MAX_ENUM_ALL:
-        raise TooLarge(f"n={n} above the enumeration limit {MAX_ENUM_ALL}")
-    if n < 0:
-        raise BadParameters("negative order")
-    if n in _all_cache:
-        return list(_all_cache[n])
-    if n == 0:
-        reps = [Graph(0, ())]
-    else:
-        seen: dict[bytes, None] = {}
-        for parent in enumerate_graphs(n - 1):
-            base = parent.adj
-            for nb in range(1 << (n - 1)):
-                adj = list(base)
-                for v in range(n - 1):
-                    if nb >> v & 1:
-                        adj[v] |= 1 << (n - 1)
-                adj.append(nb)
-                seen.setdefault(canonical_form(Graph(n, tuple(adj))))
-        reps = [graph_from_canonical_form(f) for f in sorted(seen)]
-    _all_cache[n] = reps
-    return list(reps)
+    _check_order(n, MAX_ENUM_ALL, "")
+    return list(_augment(n, False)[0])
 
 
 def enumerate_split_graphs(n: int):
     """All non-isomorphic split graphs on n vertices, sorted by canonical form.
 
-    Generated directly from (clique size c, independent size n-c, bipartite
-    adjacency in between) with canonical deduplication.  Candidates where
-    some clique vertex has no independent neighbor are skipped: moving such
-    a vertex to the independent side yields the same graph at smaller c.
+    Built like `enumerate_graphs`, from the split graphs on n - 1 vertices,
+    keeping the children that pass the split test (Hammer and Simeone's degree
+    sequence rule); `split_graph_decks(n)` holds their decks.
     """
-    if n > MAX_ENUM_SPLIT:
-        raise TooLarge(f"n={n} above the split enumeration limit {MAX_ENUM_SPLIT}")
-    if n < 0:
-        raise BadParameters("negative order")
-    if n in _split_cache:
-        return list(_split_cache[n])
-    seen: dict[bytes, None] = {}
-    for c in range(n + 1):
-        ni = n - c
-        if ni == 0:
-            seen.setdefault(canonical_form(complete(n)))
-            continue
-        full = (1 << c) - 1
-        for hoods in combinations_with_replacement(range(1 << c), ni):
-            union = 0
-            for h in hoods:
-                union |= h
-            if union != full:
-                continue
-            adj = [0] * n
-            for i in range(c):
-                adj[i] = full & ~(1 << i)
-            for j, h in enumerate(hoods):
-                v = c + j
-                adj[v] = h
-                for i in range(c):
-                    if h >> i & 1:
-                        adj[i] |= 1 << v
-            seen.setdefault(canonical_form(Graph(n, tuple(adj))))
-    reps = [graph_from_canonical_form(f) for f in sorted(seen)]
-    _split_cache[n] = reps
-    return list(reps)
+    _check_order(n, MAX_ENUM_SPLIT, "split ")
+    return list(_augment(n, True)[0])
+
+
+def graph_decks(n: int) -> tuple[tuple[int, ...], ...]:
+    """Decks of `enumerate_graphs(n)`: entry i is the sorted tuple of distinct
+    indices into `enumerate_graphs(n - 1)` of the isomorphism classes of
+    G - v over the vertices v of the i-th graph G.  The graph on no vertex has
+    the empty deck."""
+    _check_order(n, MAX_ENUM_ALL, "")
+    return _augment(n, False)[1]
+
+
+def split_graph_decks(n: int) -> tuple[tuple[int, ...], ...]:
+    """Decks of `enumerate_split_graphs(n)`, as `graph_decks` but indexing
+    `enumerate_split_graphs(n - 1)` (every G - v of a split graph is split)."""
+    _check_order(n, MAX_ENUM_SPLIT, "split ")
+    return _augment(n, True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cache
+from itertools import combinations, count
 from math import comb
 from pathlib import Path
 
-from .errors import BadParameters, TooLarge
+from .errors import BadParameters, InternalError, TooLarge
 from .graph import (
     MAX_ENUM_ALL,
     MAX_ENUM_SPLIT,
@@ -24,6 +25,8 @@ from .graph import (
     enumerate_graphs,
     enumerate_split_graphs,
     from_edges,
+    graph_decks,
+    split_graph_decks,
     to_graph6,
 )
 from .pattern import STAR, PatternMatrix, make_m_kt
@@ -31,14 +34,14 @@ from .recognize import is_bipartite, is_chordal
 from .solver import PartAssignment, solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalityCertificate:
     matrix: PatternMatrix
     graph: Graph
     witnesses: tuple[PartAssignment, ...]  # witnesses[v] partitions graph - v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationReport:
     matrix: PatternMatrix
     class_name: str
@@ -78,20 +81,34 @@ def minimality_certificate(G: Graph, M: PatternMatrix) -> MinimalityCertificate 
 # exhaustive enumeration per class
 # ---------------------------------------------------------------------------
 
-def _bipartite_graphs(n: int) -> list[Graph]:
-    return [G for G in enumerate_graphs(n) if is_bipartite(G) is not None]
+@cache
+def _member_indices(class_name: str, n: int) -> tuple[int, ...]:
+    """Indices into enumerate_graphs(n) of the bipartite or chordal graphs."""
+    test = is_bipartite if class_name == "bipartite" else is_chordal
+    return tuple(i for i, G in enumerate(enumerate_graphs(n)) if test(G) is not None)
 
 
-# class name -> (largest order, candidates on n vertices).  The rules call the
-# generators through this module's names, so a wrapper put there sees every
-# call.  Complementing the graph maps bipartite onto cobipartite.
+def _members(class_name: str, n: int):
+    graphs, decks = enumerate_graphs(n), graph_decks(n)
+    return ((i, graphs[i], decks[i]) for i in _member_indices(class_name, n))
+
+
+# class name -> (largest order, candidates on n vertices as (index, graph,
+# deck)).  A deck indexes the candidates' own index space at order n - 1, so
+# every class must be hereditary: each G - v of a member is a member.  The
+# filtered classes use the indices and decks of all graphs; complementing the
+# graph maps bipartite onto cobipartite and keeps the deck (the complement of
+# G - v is the complement of G, minus v).  The rules call the generators
+# through this module's names, so a wrapper put there sees every call.
 _CLASSES = {
-    "all": (MAX_ENUM_ALL, lambda n: enumerate_graphs(n)),
-    "split": (MAX_ENUM_SPLIT, lambda n: enumerate_split_graphs(n)),
-    "bipartite": (MAX_ENUM_ALL, _bipartite_graphs),
-    "cobipartite": (MAX_ENUM_ALL, lambda n: [complement(G) for G in _bipartite_graphs(n)]),
-    "chordal": (MAX_ENUM_ALL,
-                lambda n: [G for G in enumerate_graphs(n) if is_chordal(G) is not None]),
+    "all": (MAX_ENUM_ALL,
+            lambda n: zip(count(), enumerate_graphs(n), graph_decks(n))),
+    "split": (MAX_ENUM_SPLIT,
+              lambda n: zip(count(), enumerate_split_graphs(n), split_graph_decks(n))),
+    "bipartite": (MAX_ENUM_ALL, lambda n: _members("bipartite", n)),
+    "cobipartite": (MAX_ENUM_ALL,
+                    lambda n: ((i, complement(G), d) for i, G, d in _members("bipartite", n))),
+    "chordal": (MAX_ENUM_ALL, lambda n: _members("chordal", n)),
 }
 CLASS_LIMITS = {name: limit for name, (limit, _) in _CLASSES.items()}
 
@@ -99,19 +116,26 @@ CLASS_LIMITS = {name: limit for name, (limit, _) in _CLASSES.items()}
 def _worker(task):
     G, M = task
     status, payload = classify_minimality(G, M)
-    if status != "minimal":
-        return None
-    return (G, payload)
+    return status, payload if status == "minimal" else None
 
 
 def enumerate_minimal_obstructions(
     M: PatternMatrix, class_name: str, n_max: int, jobs: int = 1
 ) -> EnumerationReport:
+    """Minimal obstructions of the class with at most n_max vertices.
+
+    Partitionability is hereditary, so a candidate with an obstructed graph
+    in its deck is obstructed and not minimal, and needs no solve.  Only the
+    open candidates, whose whole deck is partitionable, are classified; they
+    are partitionable or minimal.
+    """
     if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
     limit, candidates = _CLASSES[class_name]
     if n_max > limit:
         raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
+    if n_max < 0:
+        raise BadParameters(f"n_max={n_max} is negative")
     # the pool forks all its workers at once; more than the CPUs gain nothing
     jobs = min(jobs, os.cpu_count() or 1)
     t0 = time.perf_counter()
@@ -121,15 +145,28 @@ def enumerate_minimal_obstructions(
             note="diagonal star: every graph fits in the unrestricted part, no obstructions",
         )
     found = []
+    obstructed: set[int] = set()  # at order n - 1; the graph on no vertex partitions
     for n in range(1, n_max + 1):
-        tasks = [(G, M) for G in candidates(n)]
+        now: set[int] = set()
+        indices, tasks = [], []
+        for i, G, deck in candidates(n):
+            if obstructed.isdisjoint(deck):
+                indices.append(i)
+                tasks.append((G, M))
+            else:
+                now.add(i)
         if jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
         else:
             results = [_worker(t) for t in tasks]
-        found.extend((canonical_form(G), G, witnesses)
-                     for G, witnesses in filter(None, results))
+        for i, (G, _), (status, witnesses) in zip(indices, tasks, results):
+            if status == "not-minimal":
+                raise InternalError(f"{to_graph6(G)} has an obstructed deletion missing from its deck")
+            if status == "minimal":
+                now.add(i)
+                found.append((canonical_form(G), G, witnesses))
+        obstructed = now
     found.sort(key=lambda x: x[0])
     obstructions = []
     counts: dict[int, int] = {}

@@ -17,7 +17,7 @@ from .graph import Graph
 from .pattern import ONE, STAR, ZERO, PatternMatrix, normalize_block_form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartAssignment:
     """Total map vertex -> part index."""
 

@@ -113,6 +113,23 @@ class TestEnumerate:
                         "--max-n", "12", "--data-dir", str(tmp_path))
         assert rc == 2
 
+    def test_negative_max_n_exit_2(self, tmp_path, capsys):
+        rc, _ = run_cli("enumerate", "--matrix", "0", "--max-n", "-3",
+                        "--data-dir", str(tmp_path))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())  # no manifest written
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_jobs_exit_2(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--matrix", "0", "--max-n", "3", "--jobs", value,
+                  "--data-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --jobs" in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestConstruct:
     def test_thm5(self):

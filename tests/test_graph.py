@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -203,6 +204,56 @@ class TestEnumeration:
         for n in range(1, 8):
             for G in gr.enumerate_split_graphs(n):
                 assert rec.split_partition(G) is not None
+
+
+def brute_deck(G, index):
+    """Sorted distinct list indices of the classes of G - v, from scratch."""
+    return tuple(sorted({index[gr.canonical_form(gr.delete_vertex(G, v))] for v in range(G.n)}))
+
+
+class TestDecks:
+    @pytest.mark.parametrize("graphs, decks, top", [
+        (gr.enumerate_graphs, gr.graph_decks, 7),
+        (gr.enumerate_split_graphs, gr.split_graph_decks, 8),
+    ])
+    def test_against_brute_force(self, graphs, decks, top):
+        assert decks(0) == ((),)
+        for n in range(1, top + 1):
+            index = {gr.canonical_form(H): i for i, H in enumerate(graphs(n - 1))}
+            got = decks(n)
+            assert len(got) == len(graphs(n))
+            for G, deck in zip(graphs(n), got):
+                assert deck == brute_deck(G, index)
+
+    @pytest.mark.parametrize("test", [rec.is_bipartite, rec.is_chordal])
+    def test_hereditary_classes_keep_their_decks(self, test):
+        member = [[test(G) is not None for G in gr.enumerate_graphs(n)] for n in range(9)]
+        for n in range(1, 9):
+            for i, deck in enumerate(gr.graph_decks(n)):
+                if member[n][i]:
+                    assert all(member[n - 1][j] for j in deck)
+
+    def test_immutable(self):
+        decks = gr.split_graph_decks(5)
+        assert isinstance(decks, tuple)
+        assert all(isinstance(deck, tuple) for deck in decks)
+
+    def test_bad_order(self):
+        with pytest.raises(errors.TooLarge):
+            gr.graph_decks(9)
+        with pytest.raises(errors.TooLarge):
+            gr.split_graph_decks(10)
+        with pytest.raises(errors.BadParameters):
+            gr.graph_decks(-1)
+
+
+class TestPickle:
+    def test_round_trip(self):
+        # the enumeration pool pickles graphs; Graph keeps no instance dict
+        G = gr.cycle(5)
+        H = pickle.loads(pickle.dumps(G))
+        assert H == G and hash(H) == hash(G)
+        assert not hasattr(G, "__dict__")
 
 
 class TestEdgeListFormat:

@@ -16,6 +16,37 @@ def two_k2():
     return gr.disjoint_union(gr.complete(2), gr.complete(2))
 
 
+def _filtered(test, transform=lambda G: G):
+    return lambda n: [transform(G) for G in gr.enumerate_graphs(n) if test(G) is not None]
+
+
+ORACLE_CANDIDATES = {
+    "all": gr.enumerate_graphs,
+    "split": gr.enumerate_split_graphs,
+    "bipartite": _filtered(rec.is_bipartite),
+    "cobipartite": _filtered(rec.is_bipartite, gr.complement),
+    "chordal": _filtered(rec.is_chordal),
+}
+
+
+def oracle_report(M, class_name, n_max):
+    """Per-candidate enumeration: classify every candidate of every order,
+    with no use of decks or of earlier orders."""
+    found = []
+    for n in range(1, n_max + 1):
+        for G in ORACLE_CANDIDATES[class_name](n):
+            status, payload = ob.classify_minimality(G, M)
+            if status == "minimal":
+                found.append((gr.canonical_form(G), G, payload))
+    found.sort(key=lambda x: x[0])
+    counts = {}
+    for _, G, _ in found:
+        counts[G.n] = counts.get(G.n, 0) + 1
+    obstructions = tuple((gr.to_graph6(G), ob.MinimalityCertificate(M, G, w))
+                         for _, G, w in found)
+    return ob.EnumerationReport(M, class_name, n_max, obstructions, counts)
+
+
 class TestIsObstruction:
     def test_odd_cycle(self):
         assert ob.is_obstruction(gr.cycle(5), pat.make_kl_matrix(2, 0))
@@ -143,6 +174,43 @@ class TestEnumeration:
         par = ob.enumerate_minimal_obstructions(M, "all", 5, jobs=5000)
         assert set(seen) == {3}
         assert ob.report_to_json(par) == ob.report_to_json(seq)
+
+    @pytest.mark.parametrize("rows", ["0*;*0", "0*;*1", "01;11", "1*;*1", "0**;*0*;**0",
+                                      "0*1;*1*;1*0", "01*;10*;**1"])
+    @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
+    def test_matches_per_candidate_oracle(self, rows, class_name):
+        M = pat.parse_matrix(rows)
+        n_max = 7 if class_name == "split" else 6
+        report = ob.enumerate_minimal_obstructions(M, class_name, n_max)
+        assert ob.report_to_json(report) == ob.report_to_json(oracle_report(M, class_name, n_max))
+
+    def test_only_open_candidates_are_classified(self, monkeypatch):
+        # a candidate reaches classify_minimality only if no deletion is obstructed
+        M = pat.make_kl_matrix(2, 0)
+        seen = []
+        classify = ob.classify_minimality
+
+        def recording(G, M):
+            seen.append(G)
+            return classify(G, M)
+
+        monkeypatch.setattr(ob, "classify_minimality", recording)
+        ob.enumerate_minimal_obstructions(M, "all", 6)
+        assert 0 < len(seen) < sum(len(gr.enumerate_graphs(n)) for n in range(1, 7))
+        for G in seen:
+            assert all(sv.solve(gr.delete_vertex(G, v), M) is not None for v in range(G.n))
+
+    def test_empty_decks_raise_internal_error(self, monkeypatch):
+        # with no decks every candidate is open, and K3 + K1 is obstructed
+        # but not minimal under 2-colouring
+        monkeypatch.setattr(ob, "graph_decks", lambda n: ((),) * len(gr.enumerate_graphs(n)))
+        with pytest.raises(errors.InternalError):
+            ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 4)
+
+    def test_negative_n_max(self):
+        with pytest.raises(errors.BadParameters):
+            ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), "all", -3)
+        assert ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), "all", 0).obstructions == ()
 
     def test_obstruction_heredity(self):
         # a minimal obstruction has no obstruction among proper induced subgraphs

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product
 
@@ -41,6 +42,15 @@ class TestValidate:
     def test_part_out_of_range(self):
         with pytest.raises(errors.PartOutOfRange):
             sv.validate(gr.complete(2), pat.parse_matrix("0"), [0, 1])
+
+
+class TestPartAssignment:
+    def test_pickle_round_trip(self):
+        # the enumeration pool sends witnesses back pickled
+        w = sv.PartAssignment((0, 1, 1, 0))
+        assert pickle.loads(pickle.dumps(w)) == w
+        assert pickle.loads(pickle.dumps((w, w)))[1].parts == (0, 1, 1, 0)
+        assert not hasattr(w, "__dict__")
 
 
 class TestSolve:
