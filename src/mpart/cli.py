@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import signal
 import sys
 from pathlib import Path
@@ -80,13 +79,6 @@ def _jobs(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a whole number of jobs >= 1, got {text!r}")
     return value
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("MPART_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_solve(args) -> int:
@@ -208,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_name", default="all",
                    choices=sorted(ob.CLASS_LIMITS))
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="accepted for compatibility and ignored: enumeration runs in one process")
     p.add_argument("--output", choices=("json", "tsv"), default="json")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--timeout", type=_seconds, default=0)

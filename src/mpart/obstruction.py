@@ -5,9 +5,7 @@ closed-form size bounds."""
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, count
@@ -18,6 +16,7 @@ from .errors import BadParameters, InternalError, TooLarge
 from .graph import (
     MAX_ENUM_ALL,
     MAX_ENUM_SPLIT,
+    MAX_VERTICES,
     Graph,
     canonical_form,
     complement,
@@ -52,10 +51,6 @@ class EnumerationReport:
     note: str = ""
 
 
-def is_obstruction(G: Graph, M: PatternMatrix) -> bool:
-    return solve(G, M) is None
-
-
 def classify_minimality(G: Graph, M: PatternMatrix):
     """('partitionable', witness) | ('not-minimal', v) | ('minimal', witnesses)."""
     w = solve(G, M)
@@ -68,13 +63,6 @@ def classify_minimality(G: Graph, M: PatternMatrix):
             return ("not-minimal", v)
         witnesses.append(sub)
     return ("minimal", tuple(witnesses))
-
-
-def minimality_certificate(G: Graph, M: PatternMatrix) -> MinimalityCertificate | None:
-    status, payload = classify_minimality(G, M)
-    if status != "minimal":
-        return None
-    return MinimalityCertificate(M, G, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +101,6 @@ _CLASSES = {
 CLASS_LIMITS = {name: limit for name, (limit, _) in _CLASSES.items()}
 
 
-def _worker(task):
-    G, M = task
-    status, payload = classify_minimality(G, M)
-    return status, payload if status == "minimal" else None
-
-
 def enumerate_minimal_obstructions(
     M: PatternMatrix, class_name: str, n_max: int, jobs: int = 1
 ) -> EnumerationReport:
@@ -126,8 +108,9 @@ def enumerate_minimal_obstructions(
 
     Partitionability is hereditary, so a candidate with an obstructed graph
     in its deck is obstructed and not minimal, and needs no solve.  Only the
-    open candidates, whose whole deck is partitionable, are classified; they
-    are partitionable or minimal.
+    open candidates, whose whole deck is partitionable, are classified, in
+    candidate order in the calling process; they are partitionable or
+    minimal.  jobs is accepted for compatibility and ignored.
     """
     if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
@@ -136,8 +119,6 @@ def enumerate_minimal_obstructions(
         raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
     if n_max < 0:
         raise BadParameters(f"n_max={n_max} is negative")
-    # the pool forks all its workers at once; more than the CPUs gain nothing
-    jobs = min(jobs, os.cpu_count() or 1)
     t0 = time.perf_counter()
     if STAR in M.diagonal():
         return EnumerationReport(
@@ -148,19 +129,11 @@ def enumerate_minimal_obstructions(
     obstructed: set[int] = set()  # at order n - 1; the graph on no vertex partitions
     for n in range(1, n_max + 1):
         now: set[int] = set()
-        indices, tasks = [], []
         for i, G, deck in candidates(n):
-            if obstructed.isdisjoint(deck):
-                indices.append(i)
-                tasks.append((G, M))
-            else:
+            if not obstructed.isdisjoint(deck):
                 now.add(i)
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-        else:
-            results = [_worker(t) for t in tasks]
-        for i, (G, _), (status, witnesses) in zip(indices, tasks, results):
+                continue
+            status, witnesses = classify_minimality(G, M)
             if status == "not-minimal":
                 raise InternalError(f"{to_graph6(G)} has an obstructed deletion missing from its deck")
             if status == "minimal":
@@ -192,9 +165,10 @@ def construct_theorem5(n: int) -> tuple[PatternMatrix, Graph]:
     """
     if n < 1:
         raise BadParameters("need n >= 1")
-    total = 4 * n + 1 + comb(2 * n, n)
-    if total > 64:
-        raise BadParameters(f"{total} vertices exceeds the 64-vertex cap (need n <= 3)")
+    # the 4n + 1 fixed vertices are tested first, so a huge n is refused
+    # without computing, or formatting, a huge binomial
+    if 4 * n + 1 > MAX_VERTICES or (total := theorem5_size(n)) > MAX_VERTICES:
+        raise BadParameters(f"n={n} needs more than {MAX_VERTICES} vertices (need n <= 3)")
     M = make_m_kt(2 * n + 1, n)
     edges = []
     B = list(range(1, 2 * n + 1))
@@ -220,6 +194,8 @@ def construct_gt(t: int) -> Graph:
     """Even path on 2t vertices plus a vertex adjacent to all its interior."""
     if t < 3:
         raise BadParameters("need t >= 3")
+    if 2 * t + 1 > MAX_VERTICES:
+        raise BadParameters(f"t={t} needs {2 * t + 1} vertices, above the {MAX_VERTICES}-vertex cap")
     edges = [(i, i + 1) for i in range(2 * t - 1)]
     u = 2 * t
     edges.extend((u, p) for p in range(1, 2 * t - 1))

@@ -8,7 +8,6 @@ anticompleteness, '*' imposes nothing.  Entries are kept as the characters
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import BadCharacter, BadParameters, DiagonalStar, NotSquare, NotSymmetric
@@ -38,9 +37,6 @@ class PatternMatrix:
 
     def to_text(self) -> str:
         return ";".join(self.rows)
-
-    def to_json(self) -> str:
-        return json.dumps({"m": self.m, "rows": list(self.rows)})
 
     def __str__(self) -> str:
         return self.to_text()

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import NotSplit, PartOutOfRange, TooLarge
+from .errors import InternalError, NotSplit, PartOutOfRange, TooLarge
 from .graph import Graph
 from .pattern import ONE, STAR, ZERO, PatternMatrix, normalize_block_form
 
@@ -150,7 +150,8 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
                 for v in sp.clique:
                     parts[v] = block.perm[block.k + j]
                 out = PartAssignment(tuple(parts))
-                assert validate(G, M, out)
+                if not validate(G, M, out):
+                    raise InternalError(f"C-star witness {out.parts} fails {M.to_text()}")
                 return out
     return solve(G, M)
 

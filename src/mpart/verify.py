@@ -57,16 +57,16 @@ def _kl_of(M: pat.PatternMatrix) -> tuple[int, int]:
 
 # --- criteria -------------------------------------------------------------
 
-def check_odd_cycle_obstructions(jobs: int = 1):
-    report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 7, jobs=jobs)
+def check_odd_cycle_obstructions():
+    report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 7)
     got = {g6 for g6, _ in report.obstructions}
     want = _canonical_g6_set([gr.cycle(3), gr.cycle(5), gr.cycle(7)])
     return got == want, f"found {sorted(got)}"
 
 
-def check_split_characterization(jobs: int = 1):
+def check_split_characterization():
     M = pat.make_kl_matrix(1, 1)
-    report = ob.enumerate_minimal_obstructions(M, "all", 6, jobs=jobs)
+    report = ob.enumerate_minimal_obstructions(M, "all", 6)
     got = {g6 for g6, _ in report.obstructions}
     want = _canonical_g6_set([
         gr.disjoint_union(gr.complete(2), gr.complete(2)),

@@ -151,6 +151,15 @@ class TestConstruct:
         rc, _ = run_cli("construct", "gt", "--t", "2")
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [("thm5", "--n", "10000"), ("thm5", "--n", "1000000000"),
+                                      ("gt", "--t", "1000000000")])
+    def test_over_vertex_cap_exit_2(self, args, capsys):
+        # refused before the size is computed or the edges are built
+        rc, out = run_cli("construct", *args)
+        assert rc == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRecognize:
     def test_split_witness(self):
@@ -205,9 +214,9 @@ class TestVerifyCommand:
         assert json.loads(out)["status"] == "partitionable"
 
 
-def test_jobs_env_default(monkeypatch):
-    # the parser binds its default at build time, after the env change
-    monkeypatch.setenv("MPART_JOBS", "2")
-    from mpart.cli import build_parser
-    args = build_parser().parse_args(["enumerate", "--matrix", "0", "--max-n", "3"])
-    assert args.jobs == 2
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter, so no other test's imports count
+    code = ("import sys, mpart.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

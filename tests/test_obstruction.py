@@ -49,26 +49,26 @@ def oracle_report(M, class_name, n_max):
 
 class TestIsObstruction:
     def test_odd_cycle(self):
-        assert ob.is_obstruction(gr.cycle(5), pat.make_kl_matrix(2, 0))
+        assert sv.solve(gr.cycle(5), pat.make_kl_matrix(2, 0)) is None
 
     def test_even_cycle(self):
-        assert not ob.is_obstruction(gr.cycle(6), pat.make_kl_matrix(2, 0))
+        assert sv.solve(gr.cycle(6), pat.make_kl_matrix(2, 0)) is not None
 
     def test_k1_clique_part(self):
-        assert not ob.is_obstruction(gr.empty(1), pat.parse_matrix("1"))
+        assert sv.solve(gr.empty(1), pat.parse_matrix("1")) is not None
 
 
 class TestMinimality:
     def test_c5_minimal(self):
-        cert = ob.minimality_certificate(gr.cycle(5), pat.make_kl_matrix(2, 0))
-        assert cert is not None
-        assert len(cert.witnesses) == 5
+        status, witnesses = ob.classify_minimality(gr.cycle(5), pat.make_kl_matrix(2, 0))
+        assert status == "minimal"
+        assert len(witnesses) == 5
 
     def test_p6_partitionable_c7_minimal(self):
         M = pat.make_kl_matrix(2, 0)
         status, _ = ob.classify_minimality(gr.path(6), M)
         assert status == "partitionable"
-        assert ob.minimality_certificate(gr.cycle(7), M) is not None
+        assert ob.classify_minimality(gr.cycle(7), M)[0] == "minimal"
 
     def test_two_triangles_not_minimal(self):
         M = pat.make_kl_matrix(2, 0)
@@ -77,14 +77,14 @@ class TestMinimality:
         assert 0 <= v < 6
 
     def test_gt3_minimal(self):
-        cert = ob.minimality_certificate(ob.construct_gt(3), pat.make_m_kt(3, 1))
-        assert cert is not None
+        assert ob.classify_minimality(ob.construct_gt(3), pat.make_m_kt(3, 1))[0] == "minimal"
 
     def test_certificate_witnesses_validate(self):
         M = pat.make_kl_matrix(1, 1)
-        cert = ob.minimality_certificate(gr.cycle(5), M)
+        status, witnesses = ob.classify_minimality(gr.cycle(5), M)
+        assert status == "minimal"
         for v in range(5):
-            assert sv.validate(gr.delete_vertex(cert.graph, v), M, cert.witnesses[v])
+            assert sv.validate(gr.delete_vertex(gr.cycle(5), v), M, witnesses[v])
 
 
 class TestEnumeration:
@@ -126,7 +126,7 @@ class TestEnumeration:
         assert [g6 for g6, _ in co.obstructions] == [gr.to_graph6(gr.empty(2))]
         for _, cert in co.obstructions:
             assert rec.is_cobipartite(cert.graph) is not None
-            assert ob.is_obstruction(cert.graph, pat.parse_matrix("1"))
+            assert sv.solve(cert.graph, pat.parse_matrix("1")) is None
 
     @pytest.mark.parametrize("rows", ["1", "0*;*1", "01;11"])
     def test_cobipartite_is_complement_of_bipartite(self, rows):
@@ -148,32 +148,6 @@ class TestEnumeration:
         seq = ob.enumerate_minimal_obstructions(M, "all", 6, jobs=1)
         par = ob.enumerate_minimal_obstructions(M, "all", 6, jobs=2)
         assert [g6 for g6, _ in seq.obstructions] == [g6 for g6, _ in par.obstructions]
-
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
-        # the pool forks all max_workers processes at its first submit
-        seen = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(ob, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(ob.os, "cpu_count", lambda: 3)
-        M = pat.make_kl_matrix(2, 0)
-        seq = ob.enumerate_minimal_obstructions(M, "all", 5, jobs=1)
-        assert seen == []
-        par = ob.enumerate_minimal_obstructions(M, "all", 5, jobs=5000)
-        assert set(seen) == {3}
-        assert ob.report_to_json(par) == ob.report_to_json(seq)
 
     @pytest.mark.parametrize("rows", ["0*;*0", "0*;*1", "01;11", "1*;*1", "0**;*0*;**0",
                                       "0*1;*1*;1*0", "01*;10*;**1"])
@@ -245,8 +219,7 @@ class TestTheorem5:
     def test_minimal_obstruction(self):
         for n in (1, 2):
             M, G = ob.construct_theorem5(n)
-            cert = ob.minimality_certificate(G, M)
-            assert cert is not None
+            assert ob.classify_minimality(G, M)[0] == "minimal"
 
     def test_solve_split_agrees_on_n1(self):
         M, G = ob.construct_theorem5(1)
@@ -266,6 +239,8 @@ class TestTheorem5:
             ob.construct_theorem5(0)
         with pytest.raises(errors.BadParameters):
             ob.construct_theorem5(4)  # over the 64-vertex cap
+        with pytest.raises(errors.BadParameters):
+            ob.construct_theorem5(10**9)  # refused before C(2n, n) is computed
 
 
 class TestGtFamily:
@@ -289,6 +264,8 @@ class TestGtFamily:
     def test_bad_parameters(self):
         with pytest.raises(errors.BadParameters):
             ob.construct_gt(2)
+        with pytest.raises(errors.BadParameters):
+            ob.construct_gt(10**9)  # refused before the edge list is built
 
 
 class TestBounds:

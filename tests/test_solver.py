@@ -145,6 +145,12 @@ class TestSolveSplit:
                 w = sv.solve_split(G, M)
                 assert w is not None and sv.validate(G, M, w)
 
+    def test_c_star_witness_checked_without_assert(self, monkeypatch):
+        # the check must survive python -O, which strips assert statements
+        monkeypatch.setattr(sv, "validate", lambda G, M, w: False)
+        with pytest.raises(errors.InternalError):
+            sv.solve_split(gr.path(3), pat.parse_matrix("0*;*1"))
+
     def test_agrees_with_solve(self):
         rng = random.Random(23)
         for _ in range(200):
