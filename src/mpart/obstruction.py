@@ -293,12 +293,10 @@ def save_catalog(report: EnumerationReport, root, version: str) -> Path:
         by_order.setdefault(cert.graph.n, []).append(g6)
     for n, lines in sorted(by_order.items()):
         (base / f"n{n}.g6").write_text("\n".join(lines) + "\n")
-    diag = report.matrix.diagonal()
-    if STAR in diag:
+    if STAR in report.matrix.diagonal():
         bounds = None
     else:
-        k = diag.count("0")
-        ell = report.matrix.m - k
+        k, ell = report.matrix.kl
         bounds = {
             "split_order_bound": theorem1_bound(k, ell),
             "split_bound_swapped": k < ell,

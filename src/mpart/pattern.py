@@ -1,4 +1,4 @@
-"""Symmetric {0,1,*} pattern matrices and their block-form structure.
+"""Symmetric {0,1,*} pattern matrices and the structure derived from them.
 
 A pattern matrix defines a partition problem: entry '1' between two part
 indices forces completeness between those parts, '0' forces
@@ -9,8 +9,10 @@ anticompleteness, '*' imposes nothing.  Entries are kept as the characters
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import BadCharacter, BadParameters, DiagonalStar, NotSquare, NotSymmetric
+from .errors import BadCharacter, BadParameters, NotSquare, NotSymmetric
+from .graph import MAX_VERTICES
 
 ZERO = "0"
 ONE = "1"
@@ -21,7 +23,11 @@ _VALID = frozenset("01*")
 
 @dataclass(frozen=True)
 class PatternMatrix:
-    """Immutable symmetric pattern matrix; rows[i][j] is the (i, j) entry."""
+    """Immutable symmetric pattern matrix; rows[i][j] is the (i, j) entry.
+
+    The structure the solvers and the bounds read (part masks, (k, ell),
+    the C-star pair) is derived once per instance and cached on it.
+    """
 
     rows: tuple[str, ...]
 
@@ -29,34 +35,43 @@ class PatternMatrix:
     def m(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> str:
-        return self.rows[i][j]
-
     def diagonal(self) -> str:
         return "".join(self.rows[i][i] for i in range(self.m))
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(adj_ok, nonadj_ok): bit q of adj_ok[p] is set iff M[p][q] != 0,
+        bit q of nonadj_ok[p] iff M[p][q] != 1, i.e. the parts a neighbour,
+        resp. a non-neighbour, of a vertex in part p may take."""
+        adj_ok = tuple(sum(1 << q for q, e in enumerate(r) if e != ZERO) for r in self.rows)
+        nonadj_ok = tuple(sum(1 << q for q, e in enumerate(r) if e != ONE) for r in self.rows)
+        return adj_ok, nonadj_ok
+
+    @cached_property
+    def kl(self) -> tuple[int, int]:
+        """(k, ell): the numbers of zero-diagonal and one-diagonal parts."""
+        d = self.diagonal()
+        return d.count(ZERO), d.count(ONE)
+
+    @cached_property
+    def c_star(self) -> tuple[int, int] | None:
+        """The first (p, q) in index order with p zero-diagonal, q
+        one-diagonal and M[p][q] = *, or None when the cross block C has no
+        star.  With such a pair every split graph is M-partitionable: the
+        independent side goes to p, the clique to q."""
+        d = self.diagonal()
+        for p in range(self.m):
+            if d[p] == ZERO:
+                for q in range(self.m):
+                    if d[q] == ONE and self.rows[p][q] == STAR:
+                        return p, q
+        return None
 
     def to_text(self) -> str:
         return ";".join(self.rows)
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """Result of diagonal normalization: zero-diagonal parts first.
-
-    perm maps new part index -> original part index.  A is the k x k
-    sub-pattern among zero-diagonal parts, B the ell x ell sub-pattern
-    among one-diagonal parts, C the k x ell cross block.
-    """
-
-    perm: tuple[int, ...]
-    k: int
-    ell: int
-    a: tuple[str, ...]
-    b: tuple[str, ...]
-    c: tuple[str, ...]
 
 
 def make_matrix(rows) -> PatternMatrix:
@@ -86,31 +101,6 @@ def parse_matrix(text: str) -> PatternMatrix:
     return make_matrix(rows)
 
 
-def normalize_block_form(M: PatternMatrix) -> tuple[BlockForm, PatternMatrix]:
-    """Permute part indices so all zero-diagonal parts come first.
-
-    Uses a stable sort of indices by diagonal value, so the permutation is
-    reproducible.  Raises DiagonalStar when the diagonal has a star.
-    """
-    d = M.diagonal()
-    if STAR in d:
-        raise DiagonalStar(f"diagonal {d!r} contains a star")
-    perm = tuple(sorted(range(M.m), key=lambda i: d[i]))
-    permuted = PatternMatrix(tuple("".join(M.rows[i][j] for j in perm) for i in perm))
-    k = d.count(ZERO)
-    ell = M.m - k
-    a = tuple(permuted.rows[i][:k] for i in range(k))
-    b = tuple(permuted.rows[i][k:] for i in range(k, M.m))
-    c = tuple(permuted.rows[i][k:] for i in range(k))
-    return BlockForm(perm, k, ell, a, b, c), permuted
-
-
-def block_c_has_star(M: PatternMatrix) -> bool:
-    """True iff the cross block C contains a star entry."""
-    block, _ = normalize_block_form(M)
-    return any(STAR in row for row in block.c)
-
-
 _COMPLEMENT = str.maketrans("01", "10")
 
 
@@ -124,6 +114,8 @@ def make_m_kt(k: int, t: int) -> PatternMatrix:
     row and column and stars everywhere else."""
     if not (1 <= t <= k - 1):
         raise BadParameters(f"need 1 <= t <= k-1, got k={k}, t={t}")
+    if k > MAX_VERTICES:
+        raise BadParameters(f"k={k} is above the {MAX_VERTICES}-part cap")
     rows = [[STAR] * k for _ in range(k)]
     for i in range(k):
         rows[i][i] = ZERO

@@ -125,21 +125,6 @@ def is_kl_graph(G: Graph, k: int, ell: int):
     return solve(G, make_kl_matrix(k, ell))
 
 
-def is_homogeneous_set(G: Graph, H) -> bool:
-    hmask = 0
-    for v in H:
-        if not (0 <= v < G.n):
-            raise VertexOutOfRange(f"vertex {v} outside 0..{G.n - 1}")
-        hmask |= 1 << v
-    for v in range(G.n):
-        if hmask >> v & 1:
-            continue
-        inter = G.adj[v] & hmask
-        if inter != 0 and inter != hmask:
-            return False
-    return True
-
-
 def homogeneity_report(G: Graph, P) -> HomogeneityReport:
     """Group a uniform part by equality of neighborhoods outside it.
 

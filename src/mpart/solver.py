@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InternalError, NotSplit, PartOutOfRange, TooLarge
+from .errors import DiagonalStar, InternalError, NotSplit, PartOutOfRange, TooLarge
 from .graph import Graph
-from .pattern import ONE, STAR, ZERO, PatternMatrix, normalize_block_form
+from .pattern import ONE, STAR, PatternMatrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +67,8 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
         return PartAssignment(())
 
     dom = [(1 << m) - 1] * n
-    rows = M.rows
     adj = G.adj
-    adj_ok = [sum(1 << q for q in range(m) if rows[p][q] != ZERO) for p in range(m)]
-    nonadj_ok = [sum(1 << q for q in range(m) if rows[p][q] != ONE) for p in range(m)]
+    adj_ok, nonadj_ok = M.masks
     assigned = [-1] * n
 
     def search(todo: int) -> bool:
@@ -131,8 +129,10 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
 def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     """Split-graph solving; equivalent in solvability to solve().
 
-    With a star in block C the witness is read off the split partition
-    without search; split_partition sorts the degree sequence, O(n log n).
+    Raises NotSplit for a non-split graph, then DiagonalStar for a star on
+    the diagonal.  With a star in the cross block C (M.c_star) the witness
+    is read off the split partition without search; split_partition sorts
+    the degree sequence, O(n log n).
     Otherwise the generic search decides: its forward checking already
     keeps each zero-diagonal part to at most one clique vertex and each
     one-diagonal part to at most one independent vertex.
@@ -142,18 +142,19 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     sp = split_partition(G)
     if sp is None:
         raise NotSplit("input graph is not split")
-    block, _ = normalize_block_form(M)
-    for i in range(block.k):
-        for j in range(block.ell):
-            if block.c[i][j] == STAR:
-                parts = [block.perm[i]] * G.n
-                for v in sp.clique:
-                    parts[v] = block.perm[block.k + j]
-                out = PartAssignment(tuple(parts))
-                if not validate(G, M, out):
-                    raise InternalError(f"C-star witness {out.parts} fails {M.to_text()}")
-                return out
-    return solve(G, M)
+    d = M.diagonal()
+    if STAR in d:
+        raise DiagonalStar(f"diagonal {d!r} contains a star")
+    if M.c_star is None:
+        return solve(G, M)
+    p, q = M.c_star
+    parts = [p] * G.n
+    for v in sp.clique:
+        parts[v] = q
+    out = PartAssignment(tuple(parts))
+    if not validate(G, M, out):
+        raise InternalError(f"C-star witness {out.parts} fails {M.to_text()}")
+    return out
 
 
 def count_partitions(G: Graph, M: PatternMatrix) -> int:

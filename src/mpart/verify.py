@@ -33,26 +33,16 @@ def _canonical_g6_set(graphs) -> set[str]:
     return {gr.to_graph6(gr.canonical_graph(G)) for G in graphs}
 
 
-def _diag_star_free_matrices(orders=(2, 3)) -> list[pat.PatternMatrix]:
-    out = []
-    if 2 in orders:
-        for d in product("01", repeat=2):
-            for o in "01*":
-                out.append(pat.make_matrix([d[0] + o, o + d[1]]))
-    if 3 in orders:
-        for d in product("01", repeat=3):
-            for o in product("01*", repeat=3):
-                out.append(pat.make_matrix([
-                    d[0] + o[0] + o[1],
-                    o[0] + d[1] + o[2],
-                    o[1] + o[2] + d[2],
-                ]))
-    return out
+def _matrices_3x3(diagonal_alphabet: str) -> list[pat.PatternMatrix]:
+    """Every symmetric 3x3 matrix with diagonal entries from the alphabet."""
+    return [pat.make_matrix([d[0] + o[0] + o[1], o[0] + d[1] + o[2], o[1] + o[2] + d[2]])
+            for d in product(diagonal_alphabet, repeat=3) for o in product("01*", repeat=3)]
 
 
-def _kl_of(M: pat.PatternMatrix) -> tuple[int, int]:
-    d = M.diagonal()
-    return d.count("0"), len(d) - d.count("0")
+def _diag_star_free_matrices() -> list[pat.PatternMatrix]:
+    """The 228 diagonal-star-free 2x2 and 3x3 matrices, 2x2 first."""
+    two = [pat.make_matrix([d[0] + o, o + d[1]]) for d in product("01", repeat=2) for o in "01*"]
+    return two + _matrices_3x3("01")
 
 
 # --- criteria -------------------------------------------------------------
@@ -97,7 +87,7 @@ def check_feder2008_bound():
 def check_c_star_split_solvable():
     failures = 0
     checked = 0
-    mats = [M for M in _diag_star_free_matrices() if pat.block_c_has_star(M)]
+    mats = [M for M in _diag_star_free_matrices() if M.c_star is not None]
     for n in range(1, 9):
         for G in gr.enumerate_split_graphs(n):
             for M in mats:
@@ -242,14 +232,7 @@ def check_prop4_homogeneity(seed: int = 54321, cases: int = 1000):
 
 
 def check_solver_exactness():
-    matrices = []
-    for d in product("01*", repeat=3):
-        for o in product("01*", repeat=3):
-            matrices.append(pat.make_matrix([
-                d[0] + o[0] + o[1],
-                o[0] + d[1] + o[2],
-                o[1] + o[2] + d[2],
-            ]))
+    matrices = _matrices_3x3("01*")
     graphs = [G for n in range(1, 6) for G in gr.enumerate_graphs(n)]
     disagreements = 0
     for M in matrices:
@@ -307,7 +290,7 @@ def check_bound_consistency():
     worst_bip = 0
     violations = 0
     for M in _diag_star_free_matrices():
-        k, ell = _kl_of(M)
+        k, ell = M.kl
         rep = ob.enumerate_minimal_obstructions(M, "split", 9)
         for _, cert in rep.obstructions:
             worst_split = max(worst_split, cert.graph.n)

@@ -152,7 +152,8 @@ class TestConstruct:
         assert rc == 2
 
     @pytest.mark.parametrize("args", [("thm5", "--n", "10000"), ("thm5", "--n", "1000000000"),
-                                      ("gt", "--t", "1000000000")])
+                                      ("gt", "--t", "1000000000"),
+                                      ("mkt", "--k", "1000000000", "--t", "1")])
     def test_over_vertex_cap_exit_2(self, args, capsys):
         # refused before the size is computed or the edges are built
         rc, out = run_cli("construct", *args)

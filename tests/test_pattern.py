@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -35,39 +36,40 @@ class TestParse:
             pat.parse_matrix("02;20")
 
 
-class TestBlockForm:
-    def test_swap(self):
-        block, permuted = pat.normalize_block_form(pat.parse_matrix("1*;*0"))
-        assert rows(permuted) == ["0*", "*1"]
-        assert block.perm == (1, 0)
-        assert (block.k, block.ell) == (1, 1)
-
-    def test_identity(self):
-        block, permuted = pat.normalize_block_form(pat.parse_matrix("0*;*1"))
-        assert block.perm == (0, 1)
-        assert block.a == ("0",)
-        assert block.b == ("1",)
-        assert block.c == ("*",)
-        block, _ = pat.normalize_block_form(pat.parse_matrix("0*1*;*0*0;1*1*;*0*1"))
-        assert block.perm == (0, 1, 2, 3)
-        assert block.c == ("1*", "*0")
-
-    def test_diagonal_star(self):
-        with pytest.raises(errors.DiagonalStar):
-            pat.normalize_block_form(pat.parse_matrix("*0;01"))
-
-    def test_stable_permutation(self):
-        M = pat.parse_matrix("1**;*0*;**1")
-        block, permuted = pat.normalize_block_form(M)
-        assert block.perm == (1, 0, 2)
-        assert permuted.diagonal() == "011"
-
-
 class TestPredicates:
     def test_c_star(self):
-        assert pat.block_c_has_star(pat.parse_matrix("0*;*1"))
-        assert not pat.block_c_has_star(pat.parse_matrix("01;11"))
-        assert not pat.block_c_has_star(pat.make_m_kt(3, 1))  # ell=0, C empty
+        assert pat.parse_matrix("0*;*1").c_star == (0, 1)
+        # first zero-diagonal part, then first one-diagonal part, in index order
+        assert pat.parse_matrix("0*1*;*0*0;1*1*;*0*1").c_star == (0, 3)
+        assert pat.parse_matrix("1**;*0*;**1").c_star == (1, 0)
+        assert pat.parse_matrix("01;11").c_star is None
+        assert pat.make_m_kt(3, 1).c_star is None  # ell=0, C empty
+
+    def test_kl(self):
+        assert pat.parse_matrix("1**;*0*;**1").kl == (1, 2)
+        assert pat.make_m_kt(3, 1).kl == (3, 0)
+        assert pat.make_kl_matrix(2, 3).kl == (2, 3)
+
+    def test_masks_match_definition(self):
+        for m in (1, 2, 3):
+            for cells in product("01*", repeat=m * (m + 1) // 2):
+                it = iter(cells)
+                g = [[None] * m for _ in range(m)]
+                for i in range(m):
+                    for j in range(i, m):
+                        g[i][j] = g[j][i] = next(it)
+                M = pat.make_matrix(["".join(r) for r in g])
+                adj_ok, nonadj_ok = M.masks
+                for p in range(m):
+                    for q in range(m):
+                        assert bool(adj_ok[p] >> q & 1) == (g[p][q] != "0")
+                        assert bool(nonadj_ok[p] >> q & 1) == (g[p][q] != "1")
+                    assert adj_ok[p] >> m == nonadj_ok[p] >> m == 0
+
+    def test_derived_once(self):
+        M = pat.parse_matrix("0*;*1")
+        assert M.masks is M.masks
+        assert M.c_star is M.c_star
 
 
 def random_symmetric(rng, m, alphabet="01*"):
@@ -103,6 +105,12 @@ class TestFamilies:
     def test_mkt_bad_parameters(self):
         with pytest.raises(errors.BadParameters):
             pat.make_m_kt(3, 3)
+        # refused before its k * k cells are allocated
+        with pytest.raises(errors.BadParameters):
+            pat.make_m_kt(10**9, 1)
+        with pytest.raises(errors.BadParameters):
+            pat.make_m_kt(gr.MAX_VERTICES + 1, 1)
+        assert pat.make_m_kt(gr.MAX_VERTICES, 1).m == gr.MAX_VERTICES
 
     def test_mkt_properties(self):
         for k in range(2, 7):
@@ -120,19 +128,24 @@ class TestFamilies:
 
 
 def test_block_normalization_preserves_solvability():
+    # solve is invariant under renaming the parts of M; the permutations come
+    # from their own generator, so the cases drawn from rng do not depend on them
     rng = random.Random(42)
+    perm_rng = random.Random(43)
     for _ in range(60):
         m = rng.randint(1, 3)
         M = random_symmetric(rng, m)
         if "*" in M.diagonal():
             continue
-        block, permuted = pat.normalize_block_form(M)
+        perm = perm_rng.sample(range(m), m)  # new part i is old part perm[i]
+        renamed = pat.make_matrix(["".join(M.rows[perm[i]][perm[j]] for j in range(m))
+                                   for i in range(m)])
         n = rng.randint(0, 6)
         G = gr.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                               if rng.random() < 0.5])
         w1 = sv.solve(G, M)
-        w2 = sv.solve(G, permuted)
+        w2 = sv.solve(G, renamed)
         assert (w1 is None) == (w2 is None)
         if w2 is not None:
-            relabeled = [block.perm[p] for p in w2.parts]
+            relabeled = [perm[p] for p in w2.parts]
             assert sv.validate(G, M, relabeled)

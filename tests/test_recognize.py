@@ -156,15 +156,19 @@ class TestHomogeneous:
     def test_singletons(self):
         G = gr.cycle(5)
         for v in range(5):
-            assert rec.is_homogeneous_set(G, [v])
+            report = rec.homogeneity_report(G, [v])
+            assert report.classes == ((v,),)
 
     def test_whole_vertex_set(self):
-        assert rec.is_homogeneous_set(gr.cycle(5), range(5))
+        # nothing lies outside, so all vertices share one class
+        report = rec.homogeneity_report(gr.complete(4), range(4))
+        assert report.classes == ((0, 1, 2, 3),)
 
     def test_star_leaves(self):
         K13 = gr.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert rec.is_homogeneous_set(K13, [1, 2, 3])
-        assert not rec.is_homogeneous_set(gr.path(4), [0, 1])
+        assert len(rec.homogeneity_report(K13, [1, 2, 3]).classes) == 1
+        # the edge {0, 1} of P4 is no homogeneous set: 2 sees 1 but not 0
+        assert rec.homogeneity_report(gr.path(4), [0, 1]).classes == ((0,), (1,))
 
     def test_report_star_leaves(self):
         K13 = gr.from_edges(4, [(0, 1), (0, 2), (0, 3)])

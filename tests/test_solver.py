@@ -133,6 +133,9 @@ class TestSolveSplit:
     def test_not_split(self):
         with pytest.raises(errors.NotSplit):
             sv.solve_split(gr.cycle(4), pat.make_kl_matrix(1, 1))
+        # the split check comes before the diagonal check
+        with pytest.raises(errors.NotSplit):
+            sv.solve_split(gr.cycle(4), pat.parse_matrix("**;*1"))
 
     def test_diagonal_star_rejected(self):
         with pytest.raises(errors.DiagonalStar):
