@@ -36,11 +36,11 @@ def _read_text(path: str) -> str:
 
 
 def _load_matrix(args) -> pat.PatternMatrix:
-    if getattr(args, "matrix_file", None):
-        return pat.parse_matrix(_read_text(args.matrix_file))
-    if args.matrix is None:
-        raise MPartError("no matrix given (use --matrix or --matrix-file)")
-    return pat.parse_matrix(args.matrix)
+    if (args.matrix is None) == (args.matrix_file is None):
+        raise MPartError("exactly one matrix source required (--matrix or --matrix-file)")
+    if args.matrix is not None:
+        return pat.parse_matrix(args.matrix)
+    return pat.parse_matrix(_read_text(args.matrix_file))
 
 
 def _load_graph(args) -> Graph:
@@ -53,6 +53,11 @@ def _load_graph(args) -> Graph:
         return parse_edge_list(args.edges)
     text = _read_text(args.graph_file).strip()
     return parse_edge_list(text) if ";" in text else parse_graph6(text)
+
+
+def _matrix_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--matrix", help="matrix text: rows over 0, 1 and *, separated by ';'")
+    p.add_argument("--matrix-file", help="file holding the matrix text")
 
 
 def _graph_args(p: argparse.ArgumentParser) -> None:
@@ -181,22 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="decide partitionability, print a witness")
-    p.add_argument("--matrix")
-    p.add_argument("--matrix-file")
+    _matrix_args(p)
     _graph_args(p)
     p.add_argument("--timeout", type=_seconds, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-minimal", help="classify obstruction minimality")
-    p.add_argument("--matrix")
-    p.add_argument("--matrix-file")
+    _matrix_args(p)
     _graph_args(p)
     p.add_argument("--timeout", type=_seconds, default=0)
     p.set_defaults(func=cmd_check_minimal)
 
     p = sub.add_parser("enumerate", help="enumerate minimal obstructions in a class")
-    p.add_argument("--matrix")
-    p.add_argument("--matrix-file")
+    _matrix_args(p)
     p.add_argument("--class", dest="class_name", default="all",
                    choices=sorted(ob.CLASS_LIMITS))
     p.add_argument("--max-n", type=int, required=True)

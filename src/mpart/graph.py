@@ -224,53 +224,46 @@ def _code_of(adj, order):
     return code
 
 
-def _canon_search(adj, cells, best):
-    # find first non-singleton cell
-    target = None
-    for idx, cell in enumerate(cells):
+def _canon_search(adj, cells):
+    """Least code over the leaves below the ordered partition cells."""
+    for target, cell in enumerate(cells):
         if len(cell) > 1:
-            target = idx
             break
-    if target is None:
-        order = [c[0] for c in cells]
-        code = _code_of(adj, order)
-        if best[0] is None or code < best[0]:
-            best[0] = code
-        return
-    cell = cells[target]
+    else:
+        return _code_of(adj, [c[0] for c in cells])
+    best = None
     tried: list[int] = []
     for v in cell:
         vb = 1 << v
-        skip = False
-        for u in tried:
-            ub = 1 << u
-            if (adj[v] & ~(vb | ub)) == (adj[u] & ~(vb | ub)):
-                skip = True  # twins are automorphic images
-                break
-        if skip:
-            continue
+        if any(adj[v] & ~(vb | 1 << u) == adj[u] & ~(vb | 1 << u) for u in tried):
+            continue  # twins are automorphic images
         tried.append(v)
         rest = [u for u in cell if u != v]
-        sub = cells[:target] + [[v], rest] + cells[target + 1:]
-        _canon_search(adj, _refine(adj, sub), best)
-
-
-def canonical_code(G: Graph) -> tuple[int, int]:
-    """(n, code) where code is the lexicographically least upper-triangle
-    bit string over all relabelings (first pair = most significant bit)."""
-    n = G.n
-    if n <= 1:
-        return n, 0
-    best = [None]
-    _canon_search(G.adj, _refine(G.adj, [list(range(n))]), best)
-    return n, best[0]
+        code = _canon_search(adj, _refine(adj, cells[:target] + [[v], rest] + cells[target + 1:]))
+        if best is None or code < best:
+            best = code
+    return best
 
 
 def canonical_form(G: Graph) -> bytes:
-    """Relabeling-invariant exact representative, packed as bytes."""
-    n, code = canonical_code(G)
-    npairs = n * (n - 1) // 2
-    return bytes([n]) + code.to_bytes((npairs + 7) // 8, "big")
+    """Relabeling-invariant representative: n, then a code packed as bytes.
+
+    The code is an upper-triangle bit string (first pair = most significant
+    bit), the least over the leaves of an individualization-refinement search
+    (McKay and Piperno, Practical graph isomorphism II, 2014): starting from
+    `_refine` of the unit partition, individualize in turn each vertex of the
+    first non-singleton cell, skipping twins of vertices already tried, and
+    refine again, down to discrete partitions, each a labeling.  Relabeling
+    the graph maps these leaves onto those of the relabeled graph, so
+    isomorphic graphs get the same code.  It is not, in general, the least
+    code over all n! labelings: for 33 of the 207 graphs on 2 to 6 vertices,
+    `DK[` among them, it is larger.  The order of the generated lists, their
+    decks and the catalogs follow this code, so they depend on the exact
+    ordered partition `_refine` returns.
+    """
+    n = G.n
+    code = _canon_search(G.adj, _refine(G.adj, [list(range(n))]))
+    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
 def graph_from_canonical_form(form: bytes) -> Graph:

@@ -1,9 +1,11 @@
 """Exact partition solving against a pattern matrix.
 
 The generic solver is a backtracking search over per-vertex candidate part
-sets (bitmasks) with forward checking; variable order is
-minimum-remaining-values with index tiebreak, values are tried lowest part
-index first, so witnesses are deterministic.
+sets (bitmasks) with forward checking.  Each branch narrows its own copy of
+the domain list, so backtracking restores nothing, and a completed list, all
+singletons, is the witness.  Variable order is minimum-remaining-values with
+index tiebreak, values are tried lowest part index first, so witnesses are
+deterministic.
 """
 
 from __future__ import annotations
@@ -63,17 +65,13 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     if STAR in diag:
         # an unrestricted diagonal part can absorb the whole graph
         return PartAssignment((diag.index(STAR),) * n)
-    if n == 0:
-        return PartAssignment(())
-
-    dom = [(1 << m) - 1] * n
     adj = G.adj
     adj_ok, nonadj_ok = M.masks
-    assigned = [-1] * n
 
-    def search(todo: int) -> bool:
+    def search(dom: list[int], todo: int) -> list[int] | None:
+        """Complete dom over the vertices in todo, each branch on its own copy."""
         if todo == 0:
-            return True
+            return dom
         best_v = -1
         best_sz = m + 1
         t = todo
@@ -97,33 +95,27 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
             cand ^= low
             aok = adj_ok[p]
             nok = nonadj_ok[p]
-            ok = True
-            trail = []
+            new = dom[:]
+            new[v] = low
             t = rest
             while t:
                 lu = t & -t
                 u = lu.bit_length() - 1
                 t ^= lu
-                old = dom[u]
-                new = old & (aok if row >> u & 1 else nok)
-                if new != old:
-                    dom[u] = new
-                    trail.append((u, old))
-                    if new == 0:
-                        ok = False
-                        break
-            if ok:
-                assigned[v] = p
-                if search(rest):
-                    return True
-                assigned[v] = -1
-            for u, old in trail:
-                dom[u] = old
-        return False
+                d = new[u] & (aok if row >> u & 1 else nok)
+                if d == 0:
+                    break
+                new[u] = d
+            else:
+                done = search(new, rest)
+                if done is not None:
+                    return done
+        return None
 
-    if search((1 << n) - 1):
-        return PartAssignment(tuple(assigned))
-    return None
+    done = search([(1 << m) - 1] * n, (1 << n) - 1)
+    if done is None:
+        return None
+    return PartAssignment(tuple(d.bit_length() - 1 for d in done))
 
 
 def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:

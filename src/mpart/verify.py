@@ -166,55 +166,28 @@ def random_bipartite_graph(rng: random.Random, n: int) -> gr.Graph:
     return gr.from_edges(n, edges)
 
 
-def check_prop2_homogeneity(seed: int = 12345, cases: int = 1000):
+def _random_matrix(rng: random.Random, diagonal: str, k: int = 0) -> pat.PatternMatrix:
+    """Symmetric matrix with this diagonal; the entries above it are drawn row
+    by row, from "01" between two of the first k parts and from "01*" otherwise."""
+    m = len(diagonal)
+    rows = [[d] * m for d in diagonal]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = rng.choice("01" if j < k else "01*")
+    return pat.make_matrix(["".join(r) for r in rows])
+
+
+def _homogeneity_violations(seed: int, instance):
+    """Solve random instances until 1000 are partitionable and count the parts
+    of their witnesses with too small a homogeneous class.  instance(rng) gives
+    (G, M, need), need(p, size) the least class size part p must reach, or None."""
     rng = random.Random(seed)
     done = 0
     violations = 0
     attempts = 0
-    while done < cases:
+    while done < 1000:
         attempts += 1
-        k = rng.randint(1, 4)
-        n = min(24, k + int(rng.expovariate(0.18)))
-        rows = [["0" if i == j else "" for j in range(k)] for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                rows[i][j] = rows[j][i] = rng.choice("01")
-        A = pat.make_matrix(["".join(r) for r in rows])
-        G = random_split_graph(rng, n)
-        w = sv.solve(G, A)
-        if w is None:
-            continue
-        done += 1
-        parts: dict[int, list[int]] = {}
-        for v, p in enumerate(w.parts):
-            parts.setdefault(p, []).append(v)
-        for verts in parts.values():
-            report = rec.homogeneity_report(G, verts)
-            if report.max_class_size < ceil((len(verts) - 1) / 2 ** (k - 1)):
-                violations += 1
-    return violations == 0, f"{done} instances ({attempts} attempts), {violations} violations"
-
-
-def check_prop4_homogeneity(seed: int = 54321, cases: int = 1000):
-    rng = random.Random(seed)
-    done = 0
-    violations = 0
-    attempts = 0
-    while done < cases:
-        attempts += 1
-        k = rng.randint(1, 3)
-        ell = rng.randint(0, 2)
-        m = k + ell
-        n = min(20, 1 + int(rng.expovariate(0.2)))
-        rows = [["" for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = "0" if i < k else "1"
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = rng.choice("01") if (i < k and j < k) else rng.choice("01*")
-                rows[i][j] = rows[j][i] = e
-        M = pat.make_matrix(["".join(r) for r in rows])
-        G = random_bipartite_graph(rng, n)
+        G, M, need = instance(rng)
         w = sv.solve(G, M)
         if w is None:
             continue
@@ -223,12 +196,32 @@ def check_prop4_homogeneity(seed: int = 54321, cases: int = 1000):
         for v, p in enumerate(w.parts):
             parts.setdefault(p, []).append(v)
         for p, verts in parts.items():
-            if p >= k:
-                continue
-            report = rec.homogeneity_report(G, verts)
-            if report.max_class_size < ceil(len(verts) / 2 ** (2 * ell)):
+            least = need(p, len(verts))
+            if least is not None and rec.homogeneity_report(G, verts).max_class_size < least:
                 violations += 1
     return violations == 0, f"{done} instances ({attempts} attempts), {violations} violations"
+
+
+def check_prop2_homogeneity():
+    def instance(rng):
+        k = rng.randint(1, 4)
+        n = min(24, k + int(rng.expovariate(0.18)))
+        M = _random_matrix(rng, "0" * k, k)
+        return random_split_graph(rng, n), M, lambda p, size: ceil((size - 1) / 2 ** (k - 1))
+
+    return _homogeneity_violations(12345, instance)
+
+
+def check_prop4_homogeneity():
+    def instance(rng):
+        k = rng.randint(1, 3)
+        ell = rng.randint(0, 2)
+        n = min(20, 1 + int(rng.expovariate(0.2)))
+        M = _random_matrix(rng, "0" * k + "1" * ell, k)
+        return (random_bipartite_graph(rng, n), M,
+                lambda p, size: ceil(size / 2 ** (2 * ell)) if p < k else None)
+
+    return _homogeneity_violations(54321, instance)
 
 
 def check_solver_exactness():
@@ -244,27 +237,21 @@ def check_solver_exactness():
     )
 
 
-def check_solve_split_equivalence(seed: int = 777, cases: int = 1000):
-    rng = random.Random(seed)
+def check_solve_split_equivalence():
+    rng = random.Random(777)
     disagreements = 0
-    for _ in range(cases):
+    for _ in range(1000):
         n = rng.randint(1, 14)
         G = random_split_graph(rng, n)
         m = rng.randint(1, 4)
-        rows = [["" for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = rng.choice("01")
-        for i in range(m):
-            for j in range(i + 1, m):
-                rows[i][j] = rows[j][i] = rng.choice("01*")
-        M = pat.make_matrix(["".join(r) for r in rows])
+        M = _random_matrix(rng, "".join(rng.choice("01") for _ in range(m)))
         s1 = sv.solve(G, M)
         s2 = sv.solve_split(G, M)
         if (s1 is None) != (s2 is None):
             disagreements += 1
         elif s2 is not None and not sv.validate(G, M, s2):
             disagreements += 1
-    return disagreements == 0, f"{cases} pairs, {disagreements} disagreements"
+    return disagreements == 0, f"1000 pairs, {disagreements} disagreements"
 
 
 def check_enumeration_determinism():

@@ -54,6 +54,24 @@ class TestSolve:
                         "--edges", "2; 0-1")
         assert rc == 2
 
+    @pytest.mark.parametrize("command", [("solve", "--graph", C5),
+                                         ("check-minimal", "--graph", C5),
+                                         ("enumerate", "--max-n", "3")])
+    def test_two_matrix_sources_exit_2(self, command, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("01;11")
+        data_dir = ("--data-dir", str(tmp_path / "data")) if command[0] == "enumerate" else ()
+        rc, out = run_cli(*command, "--matrix", "0*;*1", "--matrix-file", str(path), *data_dir)
+        assert rc == 2
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: exactly one matrix source required (--matrix or --matrix-file)\n")
+
+    def test_missing_matrix_exit_2(self, capsys):
+        rc, _ = run_cli("solve", "--graph", C5)
+        assert rc == 2
+        assert "exactly one matrix source" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, other", [("--matrix-file", ("--graph", C5)),
                                              ("--graph-file", ("--matrix", "0*;*1"))])
     def test_non_utf8_file_exit_2(self, flag, other, tmp_path, capsys):

@@ -1,0 +1,68 @@
+"""Byte pins: SHA-256 digests of solve witnesses, of the canonical order and
+decks of the generators, and of one matrix's catalogs.
+
+The searches promise more than solvability: `solve` tries vertices by minimum
+remaining values with index tiebreak and parts lowest first, so its witness
+is fixed; `canonical_form` fixes the order of every generated list, its decks
+and every catalog.  A change to either search that keeps the answers but
+moves these bytes fails here.
+"""
+
+import hashlib
+from itertools import product
+
+from mpart import graph as gr
+from mpart import obstruction as ob
+from mpart import pattern as pat
+from mpart import solver as sv
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _diag_star_free_matrices():
+    """The 228 diagonal-star-free 2x2 and 3x3 matrices, 2x2 first."""
+    two = [pat.make_matrix([d[0] + o, o + d[1]]) for d in product("01", repeat=2) for o in "01*"]
+    three = [pat.make_matrix([d[0] + o[0] + o[1], o[0] + d[1] + o[2], o[1] + o[2] + d[2]])
+             for d in product("01", repeat=3) for o in product("01*", repeat=3)]
+    return two + three
+
+
+def test_solve_witnesses_on_split_graphs():
+    matrices = _diag_star_free_matrices()
+    assert len(matrices) == 228
+    lines = []
+    for n in range(8):
+        for G in gr.enumerate_split_graphs(n):
+            for M in matrices:
+                w = sv.solve(G, M)
+                lines.append("-" if w is None else "".join(map(str, w.parts)))
+    assert _digest(lines) == "fac9142c51bb2cf380c148b8a91392725e08a48884e68b2c051f3aea54077400"
+
+
+def _forms_and_decks(graphs, decks, top):
+    for n in range(top + 1):
+        yield " ".join(gr.canonical_form(G).hex() for G in graphs(n))
+        yield repr(decks(n))
+
+
+def test_canonical_order_and_decks_of_all_graphs():
+    lines = _forms_and_decks(gr.enumerate_graphs, gr.graph_decks, 7)
+    assert _digest(lines) == "f1ba83c23d5b7f817c89582d51cb47b494a91d8af2fe37060d1b89bf47ba0a30"
+
+
+def test_canonical_order_and_decks_of_split_graphs():
+    lines = _forms_and_decks(gr.enumerate_split_graphs, gr.split_graph_decks, 8)
+    assert _digest(lines) == "da1683a0bf99338e63974f37c5c9b98d160bc8756244d4d16e247c77aaf63b76"
+
+
+def test_catalogs_at_the_class_limits():
+    M = pat.parse_matrix("0*1;*1*;1*0")
+    lines = [ob.report_to_json(ob.enumerate_minimal_obstructions(M, name, limit))
+             for name, limit in sorted(ob.CLASS_LIMITS.items())]
+    assert _digest(lines) == "eba4465196709dab526c080c04cf185291969744c3d55b07a51bc7a68bf90a6e"

@@ -1,0 +1,88 @@
+"""Property tests: the solver against the counting oracle, the canonical form
+under relabelling, and round-trips of the text formats.
+
+Derandomized, so every run draws the same examples.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpart import graph as gr
+from mpart import pattern as pat
+from mpart import solver as sv
+
+
+
+def fixed(max_examples):
+    """Settings of every test here: the same examples on every run, no deadline."""
+    return settings(derandomize=True, deadline=None, database=None, max_examples=max_examples)
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return gr.from_edges(n, [e for e, bit in zip(pairs, bits) if bit])
+
+
+@st.composite
+def matrices(draw, max_m):
+    """Symmetric matrices over 0, 1 and *, diagonal stars included."""
+    m = draw(st.integers(1, max_m))
+    rows = [[""] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from("01*"))
+    return pat.make_matrix(["".join(r) for r in rows])
+
+
+@fixed(300)
+@given(graphs(7), matrices(3))
+def test_solve_agrees_with_count_and_its_witness_validates(G, M):
+    w = sv.solve(G, M)
+    if w is None:
+        assert sv.count_partitions(G, M) == 0
+    else:
+        assert sv.validate(G, M, w)
+        assert sv.count_partitions(G, M) > 0
+
+
+@st.composite
+def cycle_unions(draw, max_n):
+    """Disjoint unions of cycles, maybe complemented: regular graphs that
+    refinement cannot split, so the canonical search has to branch."""
+    G = gr.empty(0)
+    while G.n <= max_n - 3:
+        k = draw(st.integers(3, max_n - G.n))
+        G = gr.disjoint_union(G, gr.cycle(k))
+        if draw(st.booleans()):
+            break
+    return gr.complement(G) if draw(st.booleans()) else G
+
+
+@st.composite
+def relabelled(draw, max_n):
+    G = draw(st.one_of(graphs(max_n), cycle_unions(max_n)))
+    return G, gr.relabel(G, draw(st.permutations(range(G.n))))
+
+
+@fixed(300)
+@given(relabelled(9))
+def test_canonical_form_is_invariant_under_relabelling(pair):
+    G, H = pair
+    assert gr.canonical_form(H) == gr.canonical_form(G)
+    assert gr.canonical_graph(H) == gr.canonical_graph(G)
+
+
+@fixed(200)
+@given(graphs(20))
+def test_graph6_and_edge_list_round_trip(G):
+    assert gr.parse_graph6(gr.to_graph6(G)) == G
+    assert gr.parse_edge_list(gr.to_edge_list(G)) == G
+
+
+@fixed(100)
+@given(matrices(4))
+def test_matrix_text_round_trips(M):
+    assert pat.parse_matrix(M.to_text()) == M
