@@ -171,7 +171,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = vf.run_criteria(level=args.level, deep=args.deep)
+    results = vf.run_criteria(level=args.level)
     all_ok = True
     for r in results:
         ok = r.ok and r.within_budget
@@ -228,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--deep", action="store_true",
-                   help="include the 33-vertex construction check (no time guarantee)")
     p.set_defaults(func=cmd_verify)
     return parser
 

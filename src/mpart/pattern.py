@@ -25,8 +25,9 @@ _VALID = frozenset("01*")
 class PatternMatrix:
     """Immutable symmetric pattern matrix; rows[i][j] is the (i, j) entry.
 
-    The structure the solvers and the bounds read (part masks, (k, ell),
-    the C-star pair) is derived once per instance and cached on it.
+    The structure the solvers and the bounds read (part masks, the
+    interchangeable parts, (k, ell), the C-star pair) is derived once per
+    instance and cached on it.
     """
 
     rows: tuple[str, ...]
@@ -46,6 +47,19 @@ class PatternMatrix:
         adj_ok = tuple(sum(1 << q for q, e in enumerate(r) if e != ZERO) for r in self.rows)
         nonadj_ok = tuple(sum(1 << q for q, e in enumerate(r) if e != ONE) for r in self.rows)
         return adj_ok, nonadj_ok
+
+    @cached_property
+    def interchangeable(self) -> tuple[int, ...]:
+        """Bit q of entry p is set iff q < p and parts p and q are
+        interchangeable: the same diagonal and M[p][r] == M[q][r] for every
+        other part r.  Swapping such parts is an automorphism of M."""
+        rows = self.rows
+        # the same diagonal, and rows p and q agree outside columns q and p
+        return tuple(
+            sum(1 << q for q, rq in enumerate(rows[:p])
+                if rp[p] == rq[q]
+                and rp[:q] == rq[:q] and rp[q + 1:p] == rq[q + 1:p] and rp[p + 1:] == rq[p + 1:])
+            for p, rp in enumerate(rows))
 
     @cached_property
     def kl(self) -> tuple[int, int]:

@@ -6,13 +6,27 @@ the domain list, so backtracking restores nothing, and a completed list, all
 singletons, is the witness.  Variable order is minimum-remaining-values with
 index tiebreak, values are tried lowest part index first, so witnesses are
 deterministic.
+
+The search skips symmetric copies of subtrees (Freuder, *Eliminating
+interchangeable values in constraint satisfaction problems*, AAAI 1991).
+Parts p and q are interchangeable when they have the same diagonal and the
+same entry against every other part (`PatternMatrix.interchangeable`).  Each
+branch passes down the mask of parts that branching decisions have taken;
+part p is skipped when it is unused and some lower part q interchangeable
+with it is unused too.  Every domain is then an intersection of part masks
+of used parts, which treat p and q alike, so q is in each domain exactly when
+p is; the lowest such q was tried first and its subtree failed, and p's
+subtree is its image under swapping p and q, so it fails too.  Only failing
+subtrees are skipped, so the first solution, and hence the witness, is the
+one the unpruned search finds.  A part is only ever taken when its lower
+twins are all taken, so a used part has no unused lower twin, and the test
+reduces to "p has an unused lower twin".
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DiagonalStar, InternalError, NotSplit, PartOutOfRange, TooLarge
 from .graph import Graph
@@ -67,9 +81,11 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
         return PartAssignment((diag.index(STAR),) * n)
     adj = G.adj
     adj_ok, nonadj_ok = M.masks
+    twins = M.interchangeable
 
-    def search(dom: list[int], todo: int) -> list[int] | None:
-        """Complete dom over the vertices in todo, each branch on its own copy."""
+    def search(dom: list[int], todo: int, used: int) -> list[int] | None:
+        """Complete dom over the vertices in todo, each branch on its own copy;
+        used is the mask of parts that branching has taken."""
         if todo == 0:
             return dom
         best_v = -1
@@ -93,6 +109,8 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
             low = cand & -cand
             p = low.bit_length() - 1
             cand ^= low
+            if twins[p] & ~used:
+                continue  # the image of a lower unused twin's subtree, which failed
             aok = adj_ok[p]
             nok = nonadj_ok[p]
             new = dom[:]
@@ -107,12 +125,12 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
                     break
                 new[u] = d
             else:
-                done = search(new, rest)
+                done = search(new, rest, used | low)
                 if done is not None:
                     return done
         return None
 
-    done = search([(1 << m) - 1] * n, (1 << n) - 1)
+    done = search([(1 << m) - 1] * n, (1 << n) - 1, 0)
     if done is None:
         return None
     return PartAssignment(tuple(d.bit_length() - 1 for d in done))
@@ -150,11 +168,33 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
 
 
 def count_partitions(G: Graph, M: PatternMatrix) -> int:
-    """Number of valid total assignments, by full enumeration through validate."""
-    if G.n > 10 or M.m > 4:
-        raise TooLarge(f"count_partitions guarded at n <= 10, m <= 4 (n={G.n}, m={M.m})")
-    count = 0
-    for cand in product(range(M.m), repeat=G.n):
-        if validate(G, M, cand):
-            count += 1
-    return count
+    """Number of valid total assignments, an oracle for solve.
+
+    A depth-first count assigns vertices 0..n-1 in order and checks each new
+    vertex's pairs with the earlier ones entry by entry from M.rows and
+    G.adj; it shares no masks and no search with solve.
+    """
+    n, m = G.n, M.m
+    if n > 10 or m > 4:
+        raise TooLarge(f"count_partitions guarded at n <= 10, m <= 4 (n={n}, m={m})")
+    rows = M.rows
+    adj = G.adj
+    parts = [0] * n
+
+    def count(v: int) -> int:
+        if v == n:
+            return 1
+        av = adj[v]
+        total = 0
+        for p in range(m):
+            rp = rows[p]
+            for u in range(v):
+                e = rp[parts[u]]
+                if e != STAR and (e == ONE) != bool(av >> u & 1):
+                    break
+            else:
+                parts[v] = p
+                total += count(v + 1)
+        return total
+
+    return count(0)

@@ -98,10 +98,10 @@ def check_c_star_split_solvable():
     return failures == 0, f"{checked} (graph, matrix) pairs, {failures} failures"
 
 
-def check_theorem5(deep: bool = False):
+def check_theorem5():
     details = []
     ok = True
-    for n in [1, 2] + ([3] if deep else []):
+    for n in (1, 2, 3):
         M, G = ob.construct_theorem5(n)
         size_ok = G.n == ob.theorem5_size(n)
         split_ok = rec.split_partition(G) is not None
@@ -313,15 +313,12 @@ CRITERIA = [
 ]
 
 
-def run_criteria(level: str = "full", deep: bool = False) -> list[CriterionResult]:
+def run_criteria(level: str = "full") -> list[CriterionResult]:
     results = []
     for name, budget, tier, func in CRITERIA:
         if level == "quick" and tier != "quick":
             continue
         t0 = time.perf_counter()
-        if func is check_theorem5:
-            ok, measured = func(deep=deep)
-        else:
-            ok, measured = func()
+        ok, measured = func()
         results.append(CriterionResult(name, ok, measured, time.perf_counter() - t0, budget))
     return results

@@ -66,10 +66,61 @@ class TestPredicates:
                         assert bool(nonadj_ok[p] >> q & 1) == (g[p][q] != "1")
                     assert adj_ok[p] >> m == nonadj_ok[p] >> m == 0
 
+    def test_interchangeable_matches_definition(self):
+        count = 0
+        for m in (1, 2, 3):
+            for cells in product("01*", repeat=m * (m + 1) // 2):
+                it = iter(cells)
+                g = [[None] * m for _ in range(m)]
+                for i in range(m):
+                    for j in range(i, m):
+                        g[i][j] = g[j][i] = next(it)
+                M = pat.make_matrix(["".join(r) for r in g])
+                count += 1
+                twins = M.interchangeable
+                assert len(twins) == m
+                for p in range(m):
+                    for q in range(m):
+                        same = g[p][p] == g[q][q] and all(
+                            g[p][r] == g[q][r] for r in range(m) if r not in (p, q))
+                        assert bool(twins[p] >> q & 1) == (q < p and same)
+        assert count == 759
+
+    def test_interchangeable_groups_of_the_families(self):
+        for k in range(2, 8):
+            for t in range(1, k):
+                first = set(range(k - 1 - t))
+                second = set(range(k - 1 - t, k - 1))
+                if t == 1:
+                    # part k-1 and the one part it is adjacent to, k-2, both
+                    # see every other part through a star: they swap too
+                    want = [first, second | {k - 1}]
+                else:
+                    want = [first, second, {k - 1}]
+                assert groups(pat.make_m_kt(k, t)) == [g for g in want if g]
+        for k in range(5):
+            for ell in range(5 - k):
+                if k + ell:
+                    want = [set(range(k)), set(range(k, k + ell))]
+                    assert groups(pat.make_kl_matrix(k, ell)) == [g for g in want if g]
+
     def test_derived_once(self):
         M = pat.parse_matrix("0*;*1")
         assert M.masks is M.masks
         assert M.c_star is M.c_star
+        assert M.interchangeable is M.interchangeable
+
+
+def groups(M):
+    """The classes of interchangeable parts, each listed at its lowest part."""
+    out = []
+    for p, lower in enumerate(M.interchangeable):
+        if lower:
+            low = (lower & -lower).bit_length() - 1
+            next(g for g in out if low in g).add(p)
+        else:
+            out.append({p})
+    return out
 
 
 def random_symmetric(rng, m, alphabet="01*"):

@@ -45,6 +45,18 @@ def test_solve_witnesses_on_split_graphs():
     assert _digest(lines) == "fac9142c51bb2cf380c148b8a91392725e08a48884e68b2c051f3aea54077400"
 
 
+def test_solve_witnesses_of_the_theorem5_deletions():
+    # the 33 one-vertex deletions of the n = 3 construction, the deepest
+    # searches of the paper, each partitionable by M_{7,3}
+    M, G = ob.construct_theorem5(3)
+    lines = []
+    for v in range(G.n):
+        w = sv.solve(gr.delete_vertex(G, v), M)
+        lines.append("-" if w is None else "".join(map(str, w.parts)))
+    assert len(lines) == 33
+    assert _digest(lines) == "f20265247d6806b19865b2a35e25b7c4dec7b8fd0c81afc5a21186ca9e982aa1"
+
+
 def _forms_and_decks(graphs, decks, top):
     for n in range(top + 1):
         yield " ".join(gr.canonical_form(G).hex() for G in graphs(n))

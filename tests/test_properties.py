@@ -1,5 +1,6 @@
-"""Property tests: the solver against the counting oracle, the canonical form
-under relabelling, and round-trips of the text formats.
+"""Property tests: the solver against the counting oracle and against the
+search without its interchangeable-part skip, the canonical form under
+relabelling, and round-trips of the text formats.
 
 Derandomized, so every run draws the same examples.
 """
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from mpart import graph as gr
 from mpart import pattern as pat
 from mpart import solver as sv
-
+from unpruned import unpruned_solve
 
 
 def fixed(max_examples):
@@ -46,6 +47,22 @@ def test_solve_agrees_with_count_and_its_witness_validates(G, M):
     else:
         assert sv.validate(G, M, w)
         assert sv.count_partitions(G, M) > 0
+
+
+@st.composite
+def blown_up_matrices(draw, max_base, max_m):
+    """Matrices whose parts are copies of the parts of a smaller base matrix:
+    copies of one base part are interchangeable, so the skip has work to do."""
+    base = draw(matrices(max_base))
+    of = draw(st.lists(st.integers(0, base.m - 1), min_size=1, max_size=max_m))
+    return pat.make_matrix(["".join(base.rows[a][b] for b in of) for a in of])
+
+
+@fixed(300)
+@given(graphs(8), st.one_of(matrices(4), blown_up_matrices(3, 6)))
+def test_solve_witness_is_the_unpruned_search_witness(G, M):
+    w = sv.solve(G, M)
+    assert (None if w is None else w.parts) == unpruned_solve(G, M)
 
 
 @st.composite

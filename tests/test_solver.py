@@ -8,6 +8,7 @@ from mpart import errors
 from mpart import graph as gr
 from mpart import pattern as pat
 from mpart import solver as sv
+from unpruned import unpruned_solve
 
 
 def two_k2():
@@ -82,6 +83,17 @@ class TestSolve:
             if w is not None:
                 assert sv.validate(G, M, w)
 
+    def test_witness_matches_unpruned_search_on_the_families(self):
+        # the families with interchangeable parts: M_{k,t} and the (k, ell) matrices
+        mats = [pat.make_m_kt(k, t) for k in range(2, 6) for t in range(1, k)]
+        mats += [pat.make_kl_matrix(k, ell) for k in range(5) for ell in range(5 - k) if k + ell]
+        assert len(mats) == 24
+        for n in range(7):
+            for G in gr.enumerate_split_graphs(n):
+                for M in mats:
+                    w = sv.solve(G, M)
+                    assert (None if w is None else w.parts) == unpruned_solve(G, M)
+
 
 class TestCountPartitions:
     def test_empty_graph(self):
@@ -98,6 +110,17 @@ class TestCountPartitions:
             sv.count_partitions(gr.empty(11), pat.parse_matrix("0"))
         with pytest.raises(errors.TooLarge):
             sv.count_partitions(gr.empty(1), pat.make_kl_matrix(3, 2))
+
+    def test_matches_brute_force_product_count(self):
+        mats = [pat.make_matrix([a + b, b + c]) for a, b, c in product("01*", repeat=3)]
+        for n in range(6):
+            for G in gr.enumerate_graphs(n):
+                for M in mats:
+                    want = sum(all(M.rows[parts[u]][parts[v]] == "*"
+                                   or (M.rows[parts[u]][parts[v]] == "1") == G.has_edge(u, v)
+                                   for u in range(n) for v in range(u + 1, n))
+                               for parts in product(range(2), repeat=n))
+                    assert sv.count_partitions(G, M) == want
 
 
 class TestExactness:
