@@ -184,17 +184,30 @@ def relabel(G: Graph, perm) -> Graph:
 # exact canonical form
 # ---------------------------------------------------------------------------
 
-def _refine(adj, cells):
-    """Equitable refinement of an ordered partition by neighbor counts."""
+def _refine(adj, cells, fresh):
+    """Equitable refinement of an ordered partition by neighbor counts.
+
+    Each round splits every cell by its vertices' tuples of neighbour counts
+    against the cells, the groups in increasing tuple order, until a round
+    splits nothing.  Only the counts against `fresh` are computed: the masks,
+    in cell order, of the cells the previous round created.  This returns
+    the same ordered partition as counting against every cell.  A cell X
+    that the previous round left whole was a cell of the partition that
+    round refined, so every current cell is a group of vertices with one
+    count against X.  A count that is constant inside every cell splits no
+    cell, and it never decides the lexicographic order of two tuples that
+    are compared, since those belong to one cell; so dropping it leaves the
+    same groups in the same order.  The first round has no previous round,
+    so every cell is fresh.  When `_canon_search` individualizes v, it
+    splits a cell C of an equitable partition into `[v]` and the rest, so
+    every count against an old cell is still constant inside each cell, and
+    the count against the rest is the count against C, a constant of each
+    cell, minus the count against `[v]`, which comes just before it in the
+    tuple.  So it splits no more and decides no order: `[v]` alone is fresh.
+    """
     while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
         new_cells = []
-        split = False
+        new_fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -202,17 +215,20 @@ def _refine(adj, cells):
             groups: dict[tuple, list[int]] = {}
             for v in cell:
                 row = adj[v]
-                sig = tuple((row & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
+                groups.setdefault(tuple([(row & m).bit_count() for m in fresh]), []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
-            else:
-                split = True
-                for sig in sorted(groups):
-                    new_cells.append(groups[sig])
-        cells = new_cells
-        if not split:
-            return cells
+                continue
+            for sig in sorted(groups):
+                group = groups[sig]
+                new_cells.append(group)
+                m = 0
+                for v in group:
+                    m |= 1 << v
+                new_fresh.append(m)
+        if not new_fresh:
+            return new_cells
+        cells, fresh = new_cells, new_fresh
 
 
 def _code_of(adj, order):
@@ -224,25 +240,80 @@ def _code_of(adj, order):
     return code
 
 
+def _twins(adj, u, v) -> bool:
+    """Whether u and v have the same neighbours apart from each other."""
+    both = ~(1 << u | 1 << v)
+    return adj[u] & both == adj[v] & both
+
+
 def _canon_search(adj, cells):
-    """Least code over the leaves below the ordered partition cells."""
+    """Least code over the leaves below the equitable ordered partition
+    cells, and orders of leaves that reach it: those found below the first
+    child that reaches it, then the first one below each later such child.
+
+    A vertex of the branching cell that is a twin of one already tried is
+    skipped: swapping the two is an automorphism that fixes the partition,
+    so its subtree is the image of the tried one's and holds the same codes.
+    Two leaves with one code give one graph, so the map taking the vertex at
+    each position of one leaf to the vertex at that position of the other is
+    an automorphism.  The maps from the first leaf to the others, with the
+    twin swaps, generate the whole group, by induction up the first leaf's
+    path: at a node on it, an automorphism that fixes the vertices
+    individualized so far and takes the next one, u, to w is the map to the
+    leaf kept below w composed with one that also fixes u (after a twin swap
+    if w was skipped).  Keeping one leaf per later child bounds the list by
+    the tree's branching, not by the size of the group.
+    """
     for target, cell in enumerate(cells):
         if len(cell) > 1:
             break
     else:
-        return _code_of(adj, [c[0] for c in cells])
+        order = [c[0] for c in cells]
+        return _code_of(adj, order), [order]
     best = None
     tried: list[int] = []
     for v in cell:
-        vb = 1 << v
-        if any(adj[v] & ~(vb | 1 << u) == adj[u] & ~(vb | 1 << u) for u in tried):
-            continue  # twins are automorphic images
+        if any(_twins(adj, u, v) for u in tried):
+            continue
         tried.append(v)
         rest = [u for u in cell if u != v]
-        code = _canon_search(adj, _refine(adj, cells[:target] + [[v], rest] + cells[target + 1:]))
+        code, leaves = _canon_search(
+            adj, _refine(adj, cells[:target] + [[v], rest] + cells[target + 1:], [1 << v]))
         if best is None or code < best:
-            best = code
-    return best
+            best, best_leaves = code, leaves
+        elif code == best:
+            best_leaves.append(leaves[0])
+    return best, best_leaves
+
+
+def _search(adj):
+    """`_canon_search` below the refined unit partition."""
+    n = len(adj)
+    return _canon_search(adj, _refine(adj, [list(range(n))], [(1 << n) - 1]))
+
+
+def _automorphisms(G: Graph) -> list[list[int]]:
+    """Generators of the automorphism group of G, each as the list of the
+    vertices' images: the maps from the first leaf `_canon_search` returns
+    to each other one, and the transposition of every vertex with its least
+    lower twin, which generate the twin swaps the search relies on.
+    """
+    _, leaves = _search(G.adj)
+    first = leaves[0]
+    gens = []
+    for leaf in leaves[1:]:
+        perm = [0] * G.n
+        for u, v in zip(first, leaf):
+            perm[u] = v
+        gens.append(perm)
+    for v in range(G.n):
+        for u in range(v):
+            if _twins(G.adj, u, v):
+                perm = list(range(G.n))
+                perm[u], perm[v] = v, u
+                gens.append(perm)
+                break
+    return gens
 
 
 def canonical_form(G: Graph) -> bytes:
@@ -253,16 +324,18 @@ def canonical_form(G: Graph) -> bytes:
     (McKay and Piperno, Practical graph isomorphism II, 2014): starting from
     `_refine` of the unit partition, individualize in turn each vertex of the
     first non-singleton cell, skipping twins of vertices already tried, and
-    refine again, down to discrete partitions, each a labeling.  Relabeling
-    the graph maps these leaves onto those of the relabeled graph, so
-    isomorphic graphs get the same code.  It is not, in general, the least
-    code over all n! labelings: for 33 of the 207 graphs on 2 to 6 vertices,
-    `DK[` among them, it is larger.  The order of the generated lists, their
-    decks and the catalogs follow this code, so they depend on the exact
-    ordered partition `_refine` returns.
+    refine again against the new singleton only, down to discrete
+    partitions, each a labeling.  Relabeling the graph maps these leaves onto
+    those of the relabeled graph, so isomorphic graphs get the same code.
+    It is not, in general, the least code over all n! labelings: for 33 of
+    the 207 graphs on 2 to 6 vertices, `DK[` among them, it is larger.  The
+    order of the generated lists, their decks and the catalogs follow this
+    code, so they depend on the exact ordered partition `_refine` returns.
+    The leaves that reach the code, which `_automorphisms` reads, are
+    dropped.
     """
     n = G.n
-    code = _canon_search(G.adj, _refine(G.adj, [list(range(n))]))
+    code, _ = _search(G.adj)
     return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
@@ -296,6 +369,15 @@ def _check_order(n: int, limit: int, what: str) -> None:
         raise BadParameters("negative order")
 
 
+def _mask_images(perm, top):
+    """Entry m is the image under perm of the vertex mask m, for m < top."""
+    images = [0] * top
+    for m in range(1, top):
+        low = m & -m
+        images[m] = images[m ^ low] | 1 << perm[low.bit_length() - 1]
+    return images
+
+
 @cache
 def _augment(n: int, split: bool) -> tuple[tuple[Graph, ...], tuple[tuple[int, ...], ...]]:
     """(graphs, decks) on n vertices, all graphs or split graphs only.
@@ -305,6 +387,11 @@ def _augment(n: int, split: bool) -> tuple[tuple[Graph, ...], tuple[tuple[int, .
     must pass the split test.  Both classes are hereditary, so every graph of
     the class arises, and from exactly the parents isomorphic to its one-vertex
     deletions: the parent indices recorded per canonical form are its deck.
+    An automorphism s of the parent makes the children with neighbourhoods
+    nb and s(nb) isomorphic, so only one neighbourhood per orbit of the
+    group generated by `_automorphisms(parent)` is tried.  The deck records
+    each parent once per class, so any group of automorphisms gives the
+    same output; a larger one only tries fewer children.
     """
     if n == 0:
         return (Graph(0, ()),), ((),)
@@ -314,7 +401,19 @@ def _augment(n: int, split: bool) -> tuple[tuple[Graph, ...], tuple[tuple[int, .
     decks: dict[bytes, list[int]] = {}
     for p, parent in enumerate(_augment(n - 1, split)[0]):
         base = parent.adj
+        images = [_mask_images(perm, top) for perm in _automorphisms(parent)]
+        seen = bytearray(top)
         for nb in range(top):
+            if seen[nb]:
+                continue
+            seen[nb] = 1
+            orbit = [nb]
+            for m in orbit:
+                for image in images:
+                    other = image[m]
+                    if not seen[other]:
+                        seen[other] = 1
+                        orbit.append(other)
             adj = [row | top if nb >> v & 1 else row for v, row in enumerate(base)]
             adj.append(nb)
             child = Graph(n, tuple(adj))

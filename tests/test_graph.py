@@ -144,6 +144,54 @@ class TestCanonicalForm:
             == gr.canonical_form(G)
 
 
+def mask_orbits(n, perms):
+    """Entry m is the least vertex mask in the orbit of m under the group
+    the permutations generate."""
+    least = [-1] * (1 << n)
+    for m in range(1 << n):
+        if least[m] >= 0:
+            continue
+        least[m] = m
+        orbit = [m]
+        for x in orbit:
+            for p in perms:
+                y = sum(1 << p[v] for v in range(n) if x >> v & 1)
+                if least[y] < 0:
+                    least[y] = m
+                    orbit.append(y)
+    return least
+
+
+def generated_group(n, perms):
+    group = {tuple(range(n))}
+    todo = list(group)
+    for g in todo:
+        for p in perms:
+            h = tuple(p[g[v]] for v in range(n))
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n", range(7))
+    def test_generators_are_automorphisms_with_the_full_mask_orbits(self, n):
+        # the augmentation tries one neighbourhood per orbit of these
+        # generators; against all n! permutations they give every orbit
+        for G in gr.enumerate_graphs(n):
+            gens = gr._automorphisms(G)
+            for p in gens:
+                assert gr.relabel(G, p) == G
+            group = [p for p in permutations(range(n)) if gr.relabel(G, p) == G]
+            assert mask_orbits(n, gens) == mask_orbits(n, group)
+            assert generated_group(n, gens) == set(group)
+
+    def test_cycle_rotation_and_reflection(self):
+        # no twins and no splitting cell: the leaves alone give the group
+        assert len(set(mask_orbits(6, gr._automorphisms(gr.cycle(6))))) == 13
+
+
 def iso_class_count_oracle(n):
     """Independent brute force: orbit-expand every labeled graph."""
     pairs = list(combinations(range(n), 2))

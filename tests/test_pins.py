@@ -73,6 +73,16 @@ def test_canonical_order_and_decks_of_split_graphs():
     assert _digest(lines) == "da1683a0bf99338e63974f37c5c9b98d160bc8756244d4d16e247c77aaf63b76"
 
 
+def test_canonical_order_and_decks_of_all_graphs_at_the_limit():
+    lines = _forms_and_decks(gr.enumerate_graphs, gr.graph_decks, gr.MAX_ENUM_ALL)
+    assert _digest(lines) == "493dc5e3bdbe17a4d72c7da96fb953160f98d2e8195ab717f9d2331bf9e5036a"
+
+
+def test_canonical_order_and_decks_of_split_graphs_at_the_limit():
+    lines = _forms_and_decks(gr.enumerate_split_graphs, gr.split_graph_decks, gr.MAX_ENUM_SPLIT)
+    assert _digest(lines) == "8094439b5be9cdd5b8461e0a63baad0e25e60b42c3191268a64d76724a366250"
+
+
 def test_catalogs_at_the_class_limits():
     M = pat.parse_matrix("0*1;*1*;1*0")
     lines = [ob.report_to_json(ob.enumerate_minimal_obstructions(M, name, limit))

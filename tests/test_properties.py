@@ -1,16 +1,24 @@
 """Property tests: the solver against the counting oracle and against the
 search without its interchangeable-part skip, the canonical form under
-relabelling, and round-trips of the text formats.
+relabelling and against refinement by every cell, round-trips of the text
+formats, and the CLI on arbitrary input text.
 
 Derandomized, so every run draws the same examples.
 """
 
+import contextlib
+import io
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from full_refine import full_refine_canonical_form
 from mpart import graph as gr
 from mpart import pattern as pat
 from mpart import solver as sv
+from mpart.cli import main
+from mpart.errors import MPartError
 from unpruned import unpruned_solve
 
 
@@ -92,6 +100,22 @@ def test_canonical_form_is_invariant_under_relabelling(pair):
     assert gr.canonical_graph(H) == gr.canonical_graph(G)
 
 
+def test_canonical_form_is_the_full_refinement_form_on_random_graphs():
+    rng = random.Random(20141)
+    for _ in range(3000):
+        n = rng.randint(0, 30)
+        p = rng.uniform(0.1, 0.9)
+        G = gr.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < p])
+        assert gr.canonical_form(G) == full_refine_canonical_form(G)
+
+
+@fixed(200)
+@given(st.one_of(cycle_unions(12), relabelled(7).map(lambda pair: pair[1])))
+def test_canonical_form_is_the_full_refinement_form_where_the_search_branches(G):
+    assert gr.canonical_form(G) == full_refine_canonical_form(G)
+
+
 @fixed(200)
 @given(graphs(20))
 def test_graph6_and_edge_list_round_trip(G):
@@ -103,3 +127,39 @@ def test_graph6_and_edge_list_round_trip(G):
 @given(matrices(4))
 def test_matrix_text_round_trips(M):
     assert pat.parse_matrix(M.to_text()) == M
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def rejected(parse, text) -> bool:
+    try:
+        parse(text)
+    except MPartError:
+        return True
+    return False
+
+
+# any text, printable ASCII (graph6 bytes), and the characters of edge lists and matrices
+input_text = st.one_of(st.text(max_size=40),
+                       st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=40),
+                       st.text("0123456789*;-, \n", max_size=40))
+
+
+@fixed(600)
+@given(st.sampled_from(["--graph", "--edges", "--matrix"]), input_text)
+def test_arbitrary_input_text_exits_0_1_or_2(flag, text):
+    # the flag's own text after '=', so argparse never reads it as an option
+    argv = ["solve", f"{flag}={text}"]
+    argv += ["--edges=3; 0-1, 1-2"] if flag == "--matrix" else ["--matrix=0*;*1"]
+    rc, err = run_main(argv)
+    assert rc in (0, 1, 2)
+    parse = {"--graph": gr.parse_graph6, "--edges": gr.parse_edge_list,
+             "--matrix": pat.parse_matrix}[flag]
+    if rejected(parse, text):
+        assert rc == 2
+        assert err.startswith("error: ")
