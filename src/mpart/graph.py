@@ -34,9 +34,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n) if self.adj[u] >> v & 1]
 
-    def edge_count(self) -> int:
-        return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
-
 
 def from_edges(n: int, edges) -> Graph:
     if n < 0 or n > MAX_VERTICES:
@@ -163,21 +160,6 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
         raise BadParameters("union exceeds the vertex cap")
     adj = list(G.adj) + [row << G.n for row in H.adj]
     return Graph(G.n + H.n, tuple(adj))
-
-
-def relabel(G: Graph, perm) -> Graph:
-    """Graph with new vertex i = old vertex perm[i]."""
-    perm = list(perm)
-    inv = [0] * G.n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    adj = [0] * G.n
-    for i, p in enumerate(perm):
-        row = G.adj[p]
-        for q in range(G.n):
-            if row >> q & 1:
-                adj[i] |= 1 << inv[q]
-    return Graph(G.n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +468,3 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError as exc:
             raise BadParameters(f"bad edge token {tok!r}") from exc
     return from_edges(n, edges)
-
-
-def to_edge_list(G: Graph) -> str:
-    return f"{G.n}; " + ", ".join(f"{u}-{v}" for u, v in G.edges())

@@ -5,8 +5,8 @@ closed-form size bounds."""
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, count
 from math import comb
@@ -35,20 +35,25 @@ from .solver import PartAssignment, solve
 
 @dataclass(frozen=True, slots=True)
 class MinimalityCertificate:
-    matrix: PatternMatrix
     graph: Graph
     witnesses: tuple[PartAssignment, ...]  # witnesses[v] partitions graph - v
 
 
 @dataclass(frozen=True, slots=True)
 class EnumerationReport:
+    """Minimal obstructions of the class up to order n_max, as (graph6,
+    certificate) pairs in canonical-form order, with witnesses under matrix."""
+
     matrix: PatternMatrix
     class_name: str
     n_max: int
     obstructions: tuple[tuple[str, MinimalityCertificate], ...]
-    counts: dict[int, int] = field(default_factory=dict)
-    elapsed: float = 0.0
     note: str = ""
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """Number of obstructions per order."""
+        return dict(Counter(cert.graph.n for _, cert in self.obstructions))
 
 
 def classify_minimality(G: Graph, M: PatternMatrix):
@@ -119,10 +124,9 @@ def enumerate_minimal_obstructions(
         raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
     if n_max < 0:
         raise BadParameters(f"n_max={n_max} is negative")
-    t0 = time.perf_counter()
     if STAR in M.diagonal():
         return EnumerationReport(
-            M, class_name, n_max, (), {}, time.perf_counter() - t0,
+            M, class_name, n_max, (),
             note="diagonal star: every graph fits in the unrestricted part, no obstructions",
         )
     found = []
@@ -141,13 +145,9 @@ def enumerate_minimal_obstructions(
                 found.append((canonical_form(G), G, witnesses))
         obstructed = now
     found.sort(key=lambda x: x[0])
-    obstructions = []
-    counts: dict[int, int] = {}
-    for _, G, witnesses in found:
-        obstructions.append((to_graph6(G), MinimalityCertificate(M, G, witnesses)))
-        counts[G.n] = counts.get(G.n, 0) + 1
-    return EnumerationReport(M, class_name, n_max, tuple(obstructions), counts,
-                             time.perf_counter() - t0)
+    obstructions = tuple((to_graph6(G), MinimalityCertificate(G, witnesses))
+                         for _, G, witnesses in found)
+    return EnumerationReport(M, class_name, n_max, obstructions)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +285,15 @@ def report_to_tsv(report: EnumerationReport) -> str:
 
 
 def save_catalog(report: EnumerationReport, root, version: str) -> Path:
-    """Persist data/<matrix-slug>/<class>/n<k>.g6 files plus a manifest."""
+    """Persist data/<matrix-slug>/<class>/n<k>.g6 files plus a manifest,
+    replacing the n<k>.g6 files of any earlier run there."""
     base = Path(root) / matrix_slug(report.matrix) / report.class_name
     base.mkdir(parents=True, exist_ok=True)
     by_order: dict[int, list[str]] = {}
     for g6, cert in report.obstructions:
         by_order.setdefault(cert.graph.n, []).append(g6)
+    for stale in base.glob("n[0-9]*.g6"):
+        stale.unlink()
     for n, lines in sorted(by_order.items()):
         (base / f"n{n}.g6").write_text("\n".join(lines) + "\n")
     if STAR in report.matrix.diagonal():

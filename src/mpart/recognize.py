@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .errors import PartNotUniform, VertexOutOfRange
 from .graph import Graph, complement
-from .pattern import make_kl_matrix
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,6 @@ def is_chordal(G: Graph):
             if later & ~(G.adj[u] | low):
                 return None
     return tuple(elim)
-
-
-def is_kl_graph(G: Graph, k: int, ell: int):
-    """Witness assignment into k independent sets and ell cliques, or None."""
-    from .solver import solve
-
-    return solve(G, make_kl_matrix(k, ell))
 
 
 def homogeneity_report(G: Graph, P) -> HomogeneityReport:

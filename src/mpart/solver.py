@@ -147,9 +147,10 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     keeps each zero-diagonal part to at most one clique vertex and each
     one-diagonal part to at most one independent vertex.
     """
-    from .recognize import split_partition  # local import to avoid a cycle
+    # imported on first use, so that importing mpart does not load recognize
+    from . import recognize
 
-    sp = split_partition(G)
+    sp = recognize.split_partition(G)
     if sp is None:
         raise NotSplit("input graph is not split")
     d = M.diagonal()

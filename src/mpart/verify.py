@@ -3,11 +3,14 @@ and the `mpart verify` command."""
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass
 from itertools import product
 from math import ceil, comb
+from pathlib import Path
 
 from . import graph as gr
 from . import obstruction as ob
@@ -122,12 +125,12 @@ def check_gt_family():
         G = ob.construct_gt(t)
         chordal = rec.is_chordal(G) is not None
         has_2k2 = _contains_induced_2k2(G)
-        g30 = rec.is_kl_graph(G, 3, 0) is not None
-        g21 = rec.is_kl_graph(G, 2, 1) is not None
+        g30 = sv.solve(G, pat.make_kl_matrix(3, 0)) is not None
+        g21 = sv.solve(G, pat.make_kl_matrix(2, 1)) is not None
         status, _ = ob.classify_minimality(G, M)
         H = gr.complement(G)
-        co12 = rec.is_kl_graph(H, 1, 2) is not None
-        co03 = rec.is_kl_graph(H, 0, 3) is not None
+        co12 = sv.solve(H, pat.make_kl_matrix(1, 2)) is not None
+        co03 = sv.solve(H, pat.make_kl_matrix(0, 3)) is not None
         co_status, _ = ob.classify_minimality(H, Mc)
         all_ok = (chordal and has_2k2 and g30 and g21 and status == "minimal"
                   and co12 and co03 and co_status == "minimal")
@@ -254,22 +257,44 @@ def check_solve_split_equivalence():
     return disagreements == 0, f"1000 pairs, {disagreements} disagreements"
 
 
+DETERMINISM_TIMEOUT = 50.0  # seconds, inside the criterion's 60 s budget
+
+
 def check_enumeration_determinism():
-    import contextlib
-    import io
+    """Enumerate a split catalog with obstructions at three orders in two
+    fresh processes at once, with PYTHONHASHSEED 0 and 1, both run from the
+    directory holding this package: exit codes, stdout and catalog files must
+    agree.  Children not done within DETERMINISM_TIMEOUT are killed, and fail."""
+    import subprocess
     import tempfile
 
-    from .cli import main as cli_main
-
-    outs = []
-    for jobs in (1, 8):
-        buf = io.StringIO()
-        with tempfile.TemporaryDirectory() as td, contextlib.redirect_stdout(buf):
-            rc = cli_main(["enumerate", "--matrix", "0*;*0", "--class", "all",
-                           "--max-n", "7", "--jobs", str(jobs), "--data-dir", td])
-        outs.append((rc, buf.getvalue()))
-    ok = outs[0] == outs[1] and outs[0][0] == 0
-    return ok, f"jobs=1 vs jobs=8: {'identical' if ok else 'DIFFER'}"
+    root = str(Path(__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "mpart", "enumerate", "--matrix", "0*1;*0*;1*0",
+            "--class", "split", "--max-n", "9", "--data-dir"]
+    with tempfile.TemporaryDirectory() as td:
+        dirs = [Path(td, seed) for seed in "01"]
+        procs = []
+        try:
+            for d in dirs:
+                env = {**os.environ, "PYTHONHASHSEED": d.name, "PYTHONPATH": root}
+                procs.append(subprocess.Popen(argv + [str(d)], cwd=root, env=env, text=True,
+                                              stdout=subprocess.PIPE))
+            deadline = time.monotonic() + DETERMINISM_TIMEOUT
+            outs = [p.communicate(timeout=max(0.0, deadline - time.monotonic()))[0]
+                    for p in procs]
+        except subprocess.TimeoutExpired:
+            return False, f"not done within {DETERMINISM_TIMEOUT:g}s, both killed"
+        finally:
+            for p in procs:
+                p.kill()
+                p.communicate()
+        runs = [(p.returncode, out, {str(f.relative_to(d)): f.read_bytes()
+                                     for f in d.rglob("*") if f.is_file()})
+                for p, out, d in zip(procs, outs, dirs)]
+    (rc0, _, files), (rc1, _, _) = runs
+    same = runs[0] == runs[1]
+    return same and rc0 == 0, (f"PYTHONHASHSEED 0 vs 1: exit {rc0} and {rc1}, {len(files)} "
+                               f"catalog files, {'identical' if same else 'DIFFER'}")
 
 
 def check_bound_consistency():

@@ -7,6 +7,7 @@ import pytest
 from mpart import errors
 from mpart import graph as gr
 from mpart import recognize as rec
+from relabel import relabel
 
 
 def iso(G, H):
@@ -33,7 +34,7 @@ class TestFromEdges:
             gr.from_edges(2, [(0, 2)])
 
     def test_duplicates_collapse(self):
-        assert gr.from_edges(2, [(0, 1), (1, 0)]).edge_count() == 1
+        assert gr.from_edges(2, [(0, 1), (1, 0)]).edges() == [(0, 1)]
 
 
 class TestGraph6:
@@ -108,11 +109,11 @@ class TestTransforms:
 class TestGenerators:
     def test_2k2(self):
         G = two_k2()
-        assert G.n == 4 and G.edge_count() == 2
+        assert G.n == 4 and len(G.edges()) == 2
 
     def test_cycle5(self):
         C5 = gr.cycle(5)
-        assert C5.edge_count() == 5
+        assert len(C5.edges()) == 5
         assert all(C5.degree(v) == 2 for v in range(5))
 
     def test_cycle_too_small(self):
@@ -123,7 +124,7 @@ class TestGenerators:
 class TestCanonicalForm:
     def test_c4_relabelings(self):
         C4 = gr.cycle(4)
-        assert gr.canonical_form(gr.relabel(C4, [2, 0, 3, 1])) == gr.canonical_form(C4)
+        assert gr.canonical_form(relabel(C4, [2, 0, 3, 1])) == gr.canonical_form(C4)
 
     def test_k3_vs_p3(self):
         assert gr.canonical_form(gr.complete(3)) != gr.canonical_form(gr.path(3))
@@ -136,7 +137,7 @@ class TestCanonicalForm:
                                   if rng.random() < 0.5])
             perm = list(range(n))
             rng.shuffle(perm)
-            assert gr.canonical_form(gr.relabel(G, perm)) == gr.canonical_form(G)
+            assert gr.canonical_form(relabel(G, perm)) == gr.canonical_form(G)
 
     def test_round_trip(self):
         G = gr.cycle(6)
@@ -182,8 +183,8 @@ class TestAutomorphisms:
         for G in gr.enumerate_graphs(n):
             gens = gr._automorphisms(G)
             for p in gens:
-                assert gr.relabel(G, p) == G
-            group = [p for p in permutations(range(n)) if gr.relabel(G, p) == G]
+                assert relabel(G, p) == G
+            group = [p for p in permutations(range(n)) if relabel(G, p) == G]
             assert mask_orbits(n, gens) == mask_orbits(n, group)
             assert generated_group(n, gens) == set(group)
 
@@ -307,7 +308,8 @@ class TestPickle:
 class TestEdgeListFormat:
     def test_round_trip(self):
         G = gr.cycle(4)
-        assert gr.parse_edge_list(gr.to_edge_list(G)) == G
+        text = f"{G.n}; " + ", ".join(f"{u}-{v}" for u, v in G.edges())
+        assert gr.parse_edge_list(text) == G
 
     def test_parse(self):
         assert gr.parse_edge_list("3; 0-1, 1-2") == gr.path(3)

@@ -39,12 +39,9 @@ def oracle_report(M, class_name, n_max):
             if status == "minimal":
                 found.append((gr.canonical_form(G), G, payload))
     found.sort(key=lambda x: x[0])
-    counts = {}
-    for _, G, _ in found:
-        counts[G.n] = counts.get(G.n, 0) + 1
-    obstructions = tuple((gr.to_graph6(G), ob.MinimalityCertificate(M, G, w))
+    obstructions = tuple((gr.to_graph6(G), ob.MinimalityCertificate(G, w))
                          for _, G, w in found)
-    return ob.EnumerationReport(M, class_name, n_max, obstructions, counts)
+    return ob.EnumerationReport(M, class_name, n_max, obstructions)
 
 
 class TestIsObstruction:
@@ -303,3 +300,16 @@ class TestReports:
         assert manifest["matrix"] == "0*;*0"
         assert manifest["bounds"]["bipartite_order_bound"] == 6
         assert manifest["version"] == "0.1.0"
+
+    def test_save_catalog_removes_stale_orders(self, tmp_path):
+        # a smaller run into the same directory leaves no file of an order
+        # its manifest does not count, and keeps files that are not orders
+        M = pat.make_kl_matrix(2, 0)
+        first = ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 7), tmp_path, "0.1.0")
+        assert (first / "n7.g6").is_file()
+        (first / "notes.txt").write_text("kept")
+        base = ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 5), tmp_path, "0.1.0")
+        manifest = json.loads((base / "manifest.json").read_text())
+        assert manifest["counts"] == {"3": 1, "5": 1}
+        assert sorted(p.name for p in base.iterdir()) == \
+            ["manifest.json", "n3.g6", "n5.g6", "notes.txt"]

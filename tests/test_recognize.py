@@ -91,7 +91,7 @@ class TestSplitPartition:
         for n in range(1, 8):
             for G in gr.enumerate_graphs(n):
                 assert (rec.split_partition(G) is not None) == \
-                    (rec.is_kl_graph(G, 1, 1) is not None)
+                    (sv.solve(G, pat.make_kl_matrix(1, 1)) is not None)
 
 
 class TestBipartite:
@@ -140,16 +140,12 @@ class TestChordal:
 
 class TestKlGraphs:
     def test_c5_not_split(self):
-        assert rec.is_kl_graph(gr.cycle(5), 1, 1) is None
+        assert sv.solve(gr.cycle(5), pat.make_kl_matrix(1, 1)) is None
 
     def test_gt_memberships(self):
         G = ob.construct_gt(3)
-        assert rec.is_kl_graph(G, 3, 0) is not None
-        assert rec.is_kl_graph(G, 2, 1) is not None
-
-    def test_bad_parameters(self):
-        with pytest.raises(errors.BadParameters):
-            rec.is_kl_graph(gr.cycle(4), 0, 0)
+        assert sv.solve(G, pat.make_kl_matrix(3, 0)) is not None
+        assert sv.solve(G, pat.make_kl_matrix(2, 1)) is not None
 
 
 class TestHomogeneous:

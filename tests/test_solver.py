@@ -6,6 +6,7 @@ import pytest
 
 from mpart import errors
 from mpart import graph as gr
+from mpart import obstruction as ob
 from mpart import pattern as pat
 from mpart import solver as sv
 from unpruned import unpruned_solve
@@ -133,13 +134,16 @@ class TestExactness:
                     assert (sv.solve(G, M) is not None) == (sv.count_partitions(G, M) > 0)
 
     def test_complement_duality(self):
+        # complementing G and M swaps each part's clique and independent
+        # masks, so the search sees the same domain sizes and interchangeable
+        # parts: the witness and the minimality verdict are the same
         rng = random.Random(13)
         for _ in range(100):
             G = random_graph(rng, rng.randint(0, 8))
-            M = random_matrix(rng, rng.randint(1, 3))
-            a = sv.solve(G, M) is not None
-            b = sv.solve(gr.complement(G), pat.complement_matrix(M)) is not None
-            assert a == b
+            M = random_matrix(rng, rng.randint(1, 4), star_diag=True)
+            H, Mc = gr.complement(G), pat.complement_matrix(M)
+            assert sv.solve(H, Mc) == sv.solve(G, M)
+            assert ob.classify_minimality(H, Mc) == ob.classify_minimality(G, M)
 
     def test_deletion_monotonicity(self):
         rng = random.Random(17)
