@@ -104,6 +104,23 @@ _CLASSES = {
     "chordal": (MAX_ENUM_ALL, lambda n: _members("chordal", n)),
 }
 CLASS_LIMITS = {name: limit for name, (limit, _) in _CLASSES.items()}
+# class name -> its part patterns, as PatternMatrix.star_blocks names them:
+# every graph has the 1-part pattern "*", and split, bipartite and
+# cobipartite graphs are those with a 2-part partition into an independent
+# set and a clique, two independent sets, or two cliques.
+_PATTERNS = {
+    "all": (STAR,),
+    "split": (STAR, "01"),
+    "bipartite": (STAR, "00"),
+    "cobipartite": (STAR, "11"),
+    "chordal": (STAR,),
+}
+
+
+def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
+    """Whether a part pattern of the class embeds in M, so that the class
+    has no minimal obstruction under M (see enumerate_minimal_obstructions)."""
+    return not M.star_blocks.isdisjoint(_PATTERNS[class_name])
 
 
 def enumerate_minimal_obstructions(
@@ -111,11 +128,20 @@ def enumerate_minimal_obstructions(
 ) -> EnumerationReport:
     """Minimal obstructions of the class with at most n_max vertices.
 
-    Partitionability is hereditary, so a candidate with an obstructed graph
-    in its deck is obstructed and not minimal, and needs no solve.  Only the
-    open candidates, whose whole deck is partitionable, are classified, in
-    candidate order in the calling process; they are partitionable or
-    minimal.  jobs is accepted for compatibility and ignored.
+    When a part pattern of the class embeds in M (it is one of
+    M.star_blocks), the report is empty: every member is M-partitionable,
+    because its pattern's parts can go to the parts of M the pattern embeds
+    in, which have its diagonals and a star between them.  The patterns are
+    a diagonal star in every class (the report notes it), and the 0/1, 0/0
+    and 1/1 star pairs in split (PatternMatrix.c_star), bipartite and
+    cobipartite.
+
+    Otherwise, partitionability is hereditary, so a candidate with an
+    obstructed graph in its deck is obstructed and not minimal, and needs
+    no solve.  Only the open candidates, whose whole deck is partitionable,
+    are classified, in candidate order in the calling process; they are
+    partitionable or minimal.  jobs is accepted for compatibility and
+    ignored.
     """
     if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
@@ -124,10 +150,11 @@ def enumerate_minimal_obstructions(
         raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
     if n_max < 0:
         raise BadParameters(f"n_max={n_max} is negative")
-    if STAR in M.diagonal():
+    if decided_by_pattern(M, class_name):
         return EnumerationReport(
             M, class_name, n_max, (),
-            note="diagonal star: every graph fits in the unrestricted part, no obstructions",
+            note="diagonal star: every graph fits in the unrestricted part, no obstructions"
+            if STAR in M.star_blocks else "",
         )
     found = []
     obstructed: set[int] = set()  # at order n - 1; the graph on no vertex partitions

@@ -25,9 +25,9 @@ _VALID = frozenset("01*")
 class PatternMatrix:
     """Immutable symmetric pattern matrix; rows[i][j] is the (i, j) entry.
 
-    The structure the solvers and the bounds read (part masks, the
-    interchangeable parts, (k, ell), the C-star pair) is derived once per
-    instance and cached on it.
+    The structure the solvers, the enumeration and the bounds read (part
+    masks, the interchangeable parts, (k, ell), the star blocks, the C-star
+    pair) is derived once per instance and cached on it.
     """
 
     rows: tuple[str, ...]
@@ -66,6 +66,17 @@ class PatternMatrix:
         """(k, ell): the numbers of zero-diagonal and one-diagonal parts."""
         d = self.diagonal()
         return d.count(ZERO), d.count(ONE)
+
+    @cached_property
+    def star_blocks(self) -> frozenset[str]:
+        """The sorted diagonals of the principal submatrices on one part, or
+        on two parts p != q with M[p][q] = *.  Every graph partitionable by
+        such a block ("*": all graphs; "01": split, "00": bipartite, "11":
+        cobipartite) is M-partitionable: its parts go to the block's parts."""
+        d = self.diagonal()
+        return frozenset(d) | frozenset(
+            "".join(sorted(d[p] + d[q]))
+            for p in range(self.m) for q in range(p + 1, self.m) if self.rows[p][q] == STAR)
 
     @cached_property
     def c_star(self) -> tuple[int, int] | None:

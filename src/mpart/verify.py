@@ -301,8 +301,11 @@ def check_bound_consistency():
     worst_split = 0
     worst_bip = 0
     violations = 0
+    decided = {"split": 0, "bipartite": 0}
     for M in _diag_star_free_matrices():
         k, ell = M.kl
+        for class_name in decided:
+            decided[class_name] += ob.decided_by_pattern(M, class_name)
         rep = ob.enumerate_minimal_obstructions(M, "split", 9)
         for _, cert in rep.obstructions:
             worst_split = max(worst_split, cert.graph.n)
@@ -315,7 +318,8 @@ def check_bound_consistency():
                 violations += 1
     return violations == 0, (
         f"largest split order {worst_split}, largest bipartite order {worst_bip}, "
-        f"{violations} bound violations"
+        f"{violations} bound violations; {decided['split']} split and {decided['bipartite']} "
+        f"bipartite pairs decided by a class pattern"
     )
 
 

@@ -126,6 +126,16 @@ class TestEnumerate:
         assert rc == 0
         assert json.loads(out)["obstructions"] == []
 
+    def test_decided_pair_writes_manifest_only(self, tmp_path):
+        # a star between two zero-diagonal parts decides the bipartite class
+        rc, out = run_cli("enumerate", "--matrix", "0*;*0", "--class", "bipartite",
+                          "--max-n", "8", "--data-dir", str(tmp_path))
+        assert rc == 0
+        assert json.loads(out)["obstructions"] == []
+        base = tmp_path / "0s-s0" / "bipartite"
+        assert [p.name for p in base.iterdir()] == ["manifest.json"]
+        assert json.loads((base / "manifest.json").read_text())["note"] == ""
+
     def test_too_large_exit_2(self, tmp_path):
         rc, _ = run_cli("enumerate", "--matrix", "0*;*0", "--class", "all",
                         "--max-n", "12", "--data-dir", str(tmp_path))

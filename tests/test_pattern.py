@@ -45,6 +45,16 @@ class TestPredicates:
         assert pat.parse_matrix("01;11").c_star is None
         assert pat.make_m_kt(3, 1).c_star is None  # ell=0, C empty
 
+    def test_star_blocks(self):
+        assert pat.parse_matrix("0*;*1").star_blocks == {"0", "1", "01"}
+        assert pat.parse_matrix("1*;*0").star_blocks == {"0", "1", "01"}
+        assert pat.parse_matrix("0*1;*0*;1*0").star_blocks == {"0", "00"}
+        assert pat.parse_matrix("*0;00").star_blocks == {"*", "0"}
+        assert pat.parse_matrix("1**;*1*;**1").star_blocks == {"1", "11"}
+        assert pat.parse_matrix("01;11").star_blocks == {"0", "1"}
+        M = pat.parse_matrix("0*;*0")
+        assert M.star_blocks is M.star_blocks
+
     def test_kl(self):
         assert pat.parse_matrix("1**;*0*;**1").kl == (1, 2)
         assert pat.make_m_kt(3, 1).kl == (3, 0)
