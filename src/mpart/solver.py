@@ -5,7 +5,9 @@ sets (bitmasks) with forward checking.  Each branch narrows its own copy of
 the domain list, so backtracking restores nothing, and a completed list, all
 singletons, is the witness.  Variable order is minimum-remaining-values with
 index tiebreak, values are tried lowest part index first, so witnesses are
-deterministic.
+deterministic.  Forward checking skips the neighbours of a vertex whose part
+has no 0 in its row, and the non-neighbours when it has no 1: those keep
+every part.
 
 The search skips symmetric copies of subtrees (Freuder, *Eliminating
 interchangeable values in constraint satisfaction problems*, AAAI 1991).
@@ -21,6 +23,36 @@ subtrees are skipped, so the first solution, and hence the witness, is the
 one the unpruned search finds.  A part is only ever taken when its lower
 twins are all taken, so a used part has no unused lower twin, and the test
 reduces to "p has an unused lower twin".
+
+The search also jumps back over branching decisions that a failure does not
+depend on: forward checking with conflict-directed backjumping (FC-CBJ;
+Prosser, *Hybrid algorithms for the constraint satisfaction problem*,
+Computational Intelligence 9(3), 1993).  Next to the n domains, the list each
+branch copies holds n masks: mask u is the set of branched vertices whose
+parts removed a part from u's domain.  A failing search leaves in `conflict`
+a set C of vertices branched above it such that no M-partition gives those
+vertices their current parts.  It holds by induction from the leaves up.  In
+the search at v, each part p of v's domain is excluded by a set of vertices
+branched above v:
+
+- p empties u's domain: by u's mask S.  A vertex that removed nothing from
+  u's domain does not narrow it, so the parts of S alone leave u exactly its
+  current domain, and v = p allows none of it.
+- The search below v = p fails with a set C containing v: by C minus v.  If
+  C does not contain v, C is a set of vertices above v that no M-partition
+  extends, so the search at v returns C at once without trying its other
+  parts: their subtrees hold no solution either.
+- p is skipped as the image of a lower unused twin q: by whatever excluded
+  q.  No branched vertex has part p or q, so swapping p and q in an
+  M-partition that gives v part p keeps their parts and gives v part q.
+
+Every part missing from v's domain was removed by a vertex in v's own mask.
+So the union of v's mask and each part's set, minus v, is a set C for the
+search at v.  A jump skips only subtrees that hold no solution, and the masks
+never change a domain or `used`, so every search still visited sees the same
+domains, branches on the same vertex and skips the same twins as the search
+without jumps.  Depth-first, both reach the same first solution: the witness
+is unchanged, and the twin skip's argument above holds as it stands.
 """
 
 from __future__ import annotations
@@ -82,12 +114,19 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     adj = G.adj
     adj_ok, nonadj_ok = M.masks
     twins = M.interchangeable
+    full = (1 << m) - 1
+    conflict = 0  # set by each failing search: the branched vertices it depends on
 
-    def search(dom: list[int], todo: int, used: int) -> list[int] | None:
-        """Complete dom over the vertices in todo, each branch on its own copy;
-        used is the mask of parts that branching has taken."""
+    def search(state: list[int], todo: int, used: int) -> list[int] | None:
+        """Complete state over the vertices in todo, each branch on its own copy.
+
+        state holds n domains, then n masks: mask n + u is the set of branched
+        vertices that removed a part from u's domain.  used is the mask of parts
+        that branching has taken.  On failure, conflict is the set of branched
+        vertices whose parts alone leave no solution."""
+        nonlocal conflict
         if todo == 0:
-            return dom
+            return state
         best_v = -1
         best_sz = m + 1
         t = todo
@@ -95,16 +134,18 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
             low = t & -t
             v = low.bit_length() - 1
             t ^= low
-            sz = dom[v].bit_count()
+            sz = state[v].bit_count()
             if sz < best_sz:
                 best_sz = sz
                 best_v = v
                 if sz == 1:
                     break
         v = best_v
-        rest = todo & ~(1 << v)
+        bit = 1 << v
+        rest = todo & ~bit
         row = adj[v]
-        cand = dom[v]
+        cand = state[v]
+        why = state[n + v]  # the branched vertices that removed v's missing parts
         while cand:
             low = cand & -cand
             p = low.bit_length() - 1
@@ -113,27 +154,39 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
                 continue  # the image of a lower unused twin's subtree, which failed
             aok = adj_ok[p]
             nok = nonadj_ok[p]
-            new = dom[:]
+            new = state[:]
             new[v] = low
             t = rest
+            if aok == full:
+                t &= ~row  # v's neighbours keep every part
+            elif nok == full:
+                t &= row
             while t:
                 lu = t & -t
                 u = lu.bit_length() - 1
                 t ^= lu
-                d = new[u] & (aok if row >> u & 1 else nok)
-                if d == 0:
-                    break
-                new[u] = d
+                d = new[u]
+                e = d & (aok if row >> u & 1 else nok)
+                if e != d:
+                    if e == 0:
+                        why |= new[n + u]  # what emptied u's domain, besides v
+                        break
+                    new[u] = e
+                    new[n + u] |= bit
             else:
                 done = search(new, rest, used | low)
                 if done is not None:
                     return done
+                if not conflict & bit:
+                    return None  # the failure below does not depend on v: jump back
+                why |= conflict
+        conflict = why & ~bit
         return None
 
-    done = search([(1 << m) - 1] * n, (1 << n) - 1, 0)
+    done = search([full] * n + [0] * n, (1 << n) - 1, 0)
     if done is None:
         return None
-    return PartAssignment(tuple(d.bit_length() - 1 for d in done))
+    return PartAssignment(tuple(d.bit_length() - 1 for d in done[:n]))
 
 
 def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:

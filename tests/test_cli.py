@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import subprocess
@@ -22,6 +23,11 @@ def run_cli(*args):
 C5 = gr.to_graph6(gr.cycle(5))
 C6 = gr.to_graph6(gr.cycle(6))
 TWO_K2 = gr.to_graph6(gr.disjoint_union(gr.complete(2), gr.complete(2)))
+# The complement of 24 disjoint edges and a triangle, the triangle's vertices
+# last (n = 51): only the triangle keeps it from being covered by two cliques,
+# and a chronological search reaches it behind 24 independent choices.
+CO_MATCHING_AND_TRIANGLE = gr.to_graph6(gr.complement(
+    functools.reduce(gr.disjoint_union, [gr.complete(2)] * 24 + [gr.complete(3)])))
 
 
 class TestSolve:
@@ -40,6 +46,13 @@ class TestSolve:
         assert rc == 0
         parts = json.loads(out)["parts"]
         assert sv.validate(gr.path(4), pat.parse_matrix("0*;*1"), parts)
+
+    @pytest.mark.parametrize("matrix", ["1*;*1", "1*1;*1*;1*1"])
+    def test_failure_behind_independent_choices_is_decided(self, matrix):
+        rc, out = run_cli("solve", "--matrix", matrix, "--graph", CO_MATCHING_AND_TRIANGLE,
+                          "--timeout", "5")
+        assert rc == 1
+        assert json.loads(out) == {"result": "no-partition"}
 
     def test_bad_matrix_exit_2(self):
         rc, _ = run_cli("solve", "--matrix", "0*;11", "--graph", C5)

@@ -1,7 +1,7 @@
 """Property tests: the solver against the counting oracle and against the
-search without its interchangeable-part skip, the canonical form under
-relabelling and against refinement by every cell, round-trips of the text
-formats, and the CLI on arbitrary input text.
+search without its interchangeable-part skip and backjumps, the canonical
+form under relabelling and against refinement by every cell, round-trips of
+the text formats, and the CLI on arbitrary input text.
 
 Derandomized, so every run draws the same examples.
 """
@@ -37,13 +37,14 @@ def graphs(draw, max_n):
 
 
 @st.composite
-def matrices(draw, max_m):
-    """Symmetric matrices over 0, 1 and *, diagonal stars included."""
-    m = draw(st.integers(1, max_m))
+def matrices(draw, max_m, min_m=1, diagonal="01*"):
+    """Symmetric matrices over 0, 1 and *, diagonal stars included unless
+    diagonal leaves them out."""
+    m = draw(st.integers(min_m, max_m))
     rows = [[""] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            rows[i][j] = rows[j][i] = draw(st.sampled_from("01*"))
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(diagonal if i == j else "01*"))
     return pat.make_matrix(["".join(r) for r in rows])
 
 
@@ -70,6 +71,29 @@ def blown_up_matrices(draw, max_base, max_m):
 @fixed(300)
 @given(graphs(8), st.one_of(matrices(4), blown_up_matrices(3, 6)))
 def test_solve_witness_is_the_unpruned_search_witness(G, M):
+    w = sv.solve(G, M)
+    assert (None if w is None else w.parts) == unpruned_solve(G, M)
+
+
+def join(G, H):
+    return gr.complement(gr.disjoint_union(gr.complement(G), gr.complement(H)))
+
+
+@st.composite
+def joins_and_unions(draw, pieces, max_piece):
+    """Joins and disjoint unions of small random graphs, built up one piece at a
+    time: a failure inside one piece does not depend on the parts of vertices
+    in another, so the search has choices to jump back over."""
+    G = draw(graphs(max_piece))
+    for _ in range(draw(st.integers(1, pieces - 1))):
+        H = draw(graphs(max_piece))
+        G = gr.disjoint_union(G, H) if draw(st.booleans()) else join(G, H)
+    return G
+
+
+@fixed(400)
+@given(joins_and_unions(4, 4), matrices(4, min_m=2, diagonal="01"))
+def test_solve_witness_is_the_unpruned_search_witness_on_joins_and_unions(G, M):
     w = sv.solve(G, M)
     assert (None if w is None else w.parts) == unpruned_solve(G, M)
 

@@ -1,8 +1,10 @@
-"""`solve` without the interchangeable-part skip: the search as it was before
-the skip, kept as a reference for witness identity.
+"""`solve` without the interchangeable-part skip and without backjumping: the
+chronological search that both prunings must agree with, kept as a reference
+for witness identity.
 
 Minimum remaining values with index tiebreak, lowest part first, forward
-checking on a copy of the domains per branch; every part in a domain is tried.
+checking on a copy of the domains per branch; every part in a domain is tried,
+and a failure returns to the vertex branched just before.
 """
 
 from mpart.pattern import STAR
