@@ -44,7 +44,7 @@ def _load_matrix(args) -> pat.PatternMatrix:
 
 
 def _load_graph(args) -> Graph:
-    sources = [s for s in (args.graph, args.edges, getattr(args, "graph_file", None)) if s]
+    sources = [s for s in (args.graph, args.edges, args.graph_file) if s]
     if len(sources) != 1:
         raise MPartError("exactly one graph source required (--graph, --edges or --graph-file)")
     if args.graph:

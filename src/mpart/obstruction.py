@@ -86,41 +86,33 @@ def _members(class_name: str, n: int):
     return ((i, graphs[i], decks[i]) for i in _member_indices(class_name, n))
 
 
-# class name -> (largest order, candidates on n vertices as (index, graph,
-# deck)).  A deck indexes the candidates' own index space at order n - 1, so
-# every class must be hereditary: each G - v of a member is a member.  The
-# filtered classes use the indices and decks of all graphs; complementing the
-# graph maps bipartite onto cobipartite and keeps the deck (the complement of
-# G - v is the complement of G, minus v).  The rules call the generators
-# through this module's names, so a wrapper put there sees every call.
+# class name -> (largest order, part patterns as PatternMatrix.star_blocks
+# names them, candidates on n vertices as (index, graph, deck)).  Every graph
+# has the pattern "*"; split, bipartite and cobipartite graphs split into an
+# independent set and a clique, two independent sets, or two cliques.  A deck
+# indexes the candidates' own index space at order n - 1, so every class must
+# be hereditary: each G - v of a member is a member.  The filtered classes use
+# the indices and decks of all graphs; complementing the graph maps bipartite
+# onto cobipartite and keeps the deck (the complement of G - v is the
+# complement of G, minus v).  The rules call the generators through this
+# module's names, so a wrapper put there sees every call.
 _CLASSES = {
-    "all": (MAX_ENUM_ALL,
+    "all": (MAX_ENUM_ALL, (STAR,),
             lambda n: zip(count(), enumerate_graphs(n), graph_decks(n))),
-    "split": (MAX_ENUM_SPLIT,
+    "split": (MAX_ENUM_SPLIT, (STAR, "01"),
               lambda n: zip(count(), enumerate_split_graphs(n), split_graph_decks(n))),
-    "bipartite": (MAX_ENUM_ALL, lambda n: _members("bipartite", n)),
-    "cobipartite": (MAX_ENUM_ALL,
+    "bipartite": (MAX_ENUM_ALL, (STAR, "00"), lambda n: _members("bipartite", n)),
+    "cobipartite": (MAX_ENUM_ALL, (STAR, "11"),
                     lambda n: ((i, complement(G), d) for i, G, d in _members("bipartite", n))),
-    "chordal": (MAX_ENUM_ALL, lambda n: _members("chordal", n)),
+    "chordal": (MAX_ENUM_ALL, (STAR,), lambda n: _members("chordal", n)),
 }
-CLASS_LIMITS = {name: limit for name, (limit, _) in _CLASSES.items()}
-# class name -> its part patterns, as PatternMatrix.star_blocks names them:
-# every graph has the 1-part pattern "*", and split, bipartite and
-# cobipartite graphs are those with a 2-part partition into an independent
-# set and a clique, two independent sets, or two cliques.
-_PATTERNS = {
-    "all": (STAR,),
-    "split": (STAR, "01"),
-    "bipartite": (STAR, "00"),
-    "cobipartite": (STAR, "11"),
-    "chordal": (STAR,),
-}
+CLASS_LIMITS = {name: limit for name, (limit, _, _) in _CLASSES.items()}
 
 
 def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
     """Whether a part pattern of the class embeds in M, so that the class
     has no minimal obstruction under M (see enumerate_minimal_obstructions)."""
-    return not M.star_blocks.isdisjoint(_PATTERNS[class_name])
+    return not M.star_blocks.keys().isdisjoint(_CLASSES[class_name][1])
 
 
 def enumerate_minimal_obstructions(
@@ -128,12 +120,12 @@ def enumerate_minimal_obstructions(
 ) -> EnumerationReport:
     """Minimal obstructions of the class with at most n_max vertices.
 
-    When a part pattern of the class embeds in M (it is one of
+    When a part pattern of the class embeds in M (it is a key of
     M.star_blocks), the report is empty: every member is M-partitionable,
-    because its pattern's parts can go to the parts of M the pattern embeds
-    in, which have its diagonals and a star between them.  The patterns are
-    a diagonal star in every class (the report notes it), and the 0/1, 0/0
-    and 1/1 star pairs in split (PatternMatrix.c_star), bipartite and
+    because its pattern's parts can go to the parts of M that star_blocks
+    maps the pattern to, which have its diagonals and a star between them.
+    The patterns are a diagonal star in every class (the report notes it),
+    and the 0/1, 0/0 and 1/1 star pairs in split, bipartite and
     cobipartite.
 
     Otherwise, partitionability is hereditary, so a candidate with an
@@ -145,7 +137,7 @@ def enumerate_minimal_obstructions(
     """
     if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
-    limit, candidates = _CLASSES[class_name]
+    limit, _, candidates = _CLASSES[class_name]
     if n_max > limit:
         raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
     if n_max < 0:
@@ -323,7 +315,7 @@ def save_catalog(report: EnumerationReport, root, version: str) -> Path:
         stale.unlink()
     for n, lines in sorted(by_order.items()):
         (base / f"n{n}.g6").write_text("\n".join(lines) + "\n")
-    if STAR in report.matrix.diagonal():
+    if STAR in report.matrix.star_blocks:
         bounds = None
     else:
         k, ell = report.matrix.kl

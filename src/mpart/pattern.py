@@ -26,8 +26,8 @@ class PatternMatrix:
     """Immutable symmetric pattern matrix; rows[i][j] is the (i, j) entry.
 
     The structure the solvers, the enumeration and the bounds read (part
-    masks, the interchangeable parts, (k, ell), the star blocks, the C-star
-    pair) is derived once per instance and cached on it.
+    masks, the interchangeable parts, (k, ell), the parts each part pattern
+    embeds in) is derived once per instance and cached on it.
     """
 
     rows: tuple[str, ...]
@@ -68,29 +68,20 @@ class PatternMatrix:
         return d.count(ZERO), d.count(ONE)
 
     @cached_property
-    def star_blocks(self) -> frozenset[str]:
-        """The sorted diagonals of the principal submatrices on one part, or
-        on two parts p != q with M[p][q] = *.  Every graph partitionable by
-        such a block ("*": all graphs; "01": split, "00": bipartite, "11":
-        cobipartite) is M-partitionable: its parts go to the block's parts."""
+    def star_blocks(self) -> dict[str, tuple[int, ...]]:
+        """Each part pattern M embeds, mapped to the first parts, in index
+        order, that embed it.  A pattern is the sorted diagonals of one part,
+        or of two parts p != q with M[p][q] = *; parts[i] has diagonal
+        pattern[i].  Every graph partitionable by the pattern ("*": all
+        graphs; "01": split, "00": bipartite, "11": cobipartite) is
+        M-partitionable: its parts go to the pattern's parts."""
         d = self.diagonal()
-        return frozenset(d) | frozenset(
-            "".join(sorted(d[p] + d[q]))
-            for p in range(self.m) for q in range(p + 1, self.m) if self.rows[p][q] == STAR)
-
-    @cached_property
-    def c_star(self) -> tuple[int, int] | None:
-        """The first (p, q) in index order with p zero-diagonal, q
-        one-diagonal and M[p][q] = *, or None when the cross block C has no
-        star.  With such a pair every split graph is M-partitionable: the
-        independent side goes to p, the clique to q."""
-        d = self.diagonal()
-        for p in range(self.m):
-            if d[p] == ZERO:
-                for q in range(self.m):
-                    if d[q] == ONE and self.rows[p][q] == STAR:
-                        return p, q
-        return None
+        blocks = {e: (d.index(e),) for e in d}
+        for p, row in enumerate(self.rows):
+            for q, e in enumerate(row):
+                if e == STAR and p != q and d[p] <= d[q]:
+                    blocks.setdefault(d[p] + d[q], (p, q))
+        return blocks
 
     def to_text(self) -> str:
         return ";".join(self.rows)

@@ -107,10 +107,9 @@ def validate(G: Graph, M: PatternMatrix, assignment) -> bool:
 def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     """Find an assignment satisfying the matrix, or prove none exists."""
     n, m = G.n, M.m
-    diag = M.diagonal()
-    if STAR in diag:
+    if (star := M.star_blocks.get(STAR)) is not None:
         # an unrestricted diagonal part can absorb the whole graph
-        return PartAssignment((diag.index(STAR),) * n)
+        return PartAssignment(star * n)
     adj = G.adj
     adj_ok, nonadj_ok = M.masks
     twins = M.interchangeable
@@ -193,9 +192,9 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     """Split-graph solving; equivalent in solvability to solve().
 
     Raises NotSplit for a non-split graph, then DiagonalStar for a star on
-    the diagonal.  With a star in the cross block C (M.c_star) the witness
-    is read off the split partition without search; split_partition sorts
-    the degree sequence, O(n log n).
+    the diagonal.  With a star in the cross block C (M.star_blocks["01"],
+    the C-star pair) the witness is read off the split partition without
+    search; split_partition sorts the degree sequence, O(n log n).
     Otherwise the generic search decides: its forward checking already
     keeps each zero-diagonal part to at most one clique vertex and each
     one-diagonal part to at most one independent vertex.
@@ -206,12 +205,11 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     sp = recognize.split_partition(G)
     if sp is None:
         raise NotSplit("input graph is not split")
-    d = M.diagonal()
-    if STAR in d:
-        raise DiagonalStar(f"diagonal {d!r} contains a star")
-    if M.c_star is None:
+    if STAR in M.star_blocks:
+        raise DiagonalStar(f"diagonal {M.diagonal()!r} contains a star")
+    if (pair := M.star_blocks.get("01")) is None:
         return solve(G, M)
-    p, q = M.c_star
+    p, q = pair
     parts = [p] * G.n
     for v in sp.clique:
         parts[v] = q

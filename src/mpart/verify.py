@@ -87,18 +87,36 @@ def check_feder2008_bound():
     return worst <= 4, f"{len(matrices)} matrices, largest minimal obstruction order {worst}"
 
 
-def check_c_star_split_solvable():
+# 2-part pattern -> a graph's sides 0 and 1 by its recognizer, or None
+_PATTERN_SIDES = {
+    "01": lambda G: (sp := rec.split_partition(G)) and [int(v in sp.clique) for v in range(G.n)],
+    "00": rec.is_bipartite,
+    "11": rec.is_cobipartite,
+}
+
+
+def check_class_patterns():
+    """The lemma behind obstruction.decided_by_pattern, for each 2-part
+    pattern a class lists: each member up to the class limit has sides that
+    validate against the pattern's own 2x2 matrix, and each of the 228
+    matrices that star_blocks says embeds the pattern has its diagonals, and
+    a star between them, at the parts the map gives.  That is the same as
+    validating every member against every such matrix: a 2-part assignment
+    reads only those three entries of M."""
+    matrices = _diag_star_free_matrices()
     failures = 0
-    checked = 0
-    mats = [M for M in _diag_star_free_matrices() if M.c_star is not None]
-    for n in range(1, 9):
-        for G in gr.enumerate_split_graphs(n):
-            for M in mats:
-                w = sv.solve_split(G, M)
-                checked += 1
-                if w is None or not sv.validate(G, M, w):
-                    failures += 1
-    return failures == 0, f"{checked} (graph, matrix) pairs, {failures} failures"
+    details = []
+    for class_name, (limit, patterns, candidates) in ob._CLASSES.items():
+        for pattern in (p for p in patterns if len(p) == 2):
+            own = pat.make_matrix([pattern[0] + pat.STAR, pat.STAR + pattern[1]])
+            members = [G for n in range(1, limit + 1) for _, G, _ in candidates(n)]
+            sides = [(G, _PATTERN_SIDES[pattern](G)) for G in members]
+            failures += sum(side is None or not sv.validate(G, own, side) for G, side in sides)
+            pairs = [M.star_blocks[pattern] + (M,) for M in matrices if pattern in M.star_blocks]
+            failures += sum((M.rows[p][p], M.rows[q][q], M.rows[p][q]) != (*pattern, pat.STAR)
+                            for p, q, M in pairs)
+            details.append(f"{class_name} {pattern}: {len(members)} members, {len(pairs)} matrices")
+    return failures == 0, f"{'; '.join(details)}; {failures} failures"
 
 
 def check_theorem5():
@@ -306,12 +324,12 @@ def check_bound_consistency():
         k, ell = M.kl
         for class_name in decided:
             decided[class_name] += ob.decided_by_pattern(M, class_name)
-        rep = ob.enumerate_minimal_obstructions(M, "split", 9)
+        rep = ob.enumerate_minimal_obstructions(M, "split", ob.CLASS_LIMITS["split"])
         for _, cert in rep.obstructions:
             worst_split = max(worst_split, cert.graph.n)
             if cert.graph.n > ob.theorem1_bound(k, ell):
                 violations += 1
-        rep = ob.enumerate_minimal_obstructions(M, "bipartite", 8)
+        rep = ob.enumerate_minimal_obstructions(M, "bipartite", ob.CLASS_LIMITS["bipartite"])
         for _, cert in rep.obstructions:
             worst_bip = max(worst_bip, cert.graph.n)
             if cert.graph.n > ob.theorem4_bound(k, ell):
@@ -330,7 +348,7 @@ CRITERIA = [
     ("odd-cycle-obstructions", 10, "quick", check_odd_cycle_obstructions),
     ("split-characterization", 30, "quick", check_split_characterization),
     ("feder2008-bound", 120, "quick", check_feder2008_bound),
-    ("c-star-split-solvable", 120, "full", check_c_star_split_solvable),
+    ("class-patterns", 120, "full", check_class_patterns),
     ("theorem5-construction", 61, "quick", check_theorem5),
     ("gt-family", 60, "quick", check_gt_family),
     ("prop2-homogeneity", 120, "full", check_prop2_homogeneity),

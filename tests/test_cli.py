@@ -10,6 +10,7 @@ import pytest
 from mpart import graph as gr
 from mpart import pattern as pat
 from mpart import solver as sv
+from mpart import verify as vf
 from mpart.cli import main
 
 
@@ -242,11 +243,23 @@ class TestTimeout:
 
 
 class TestVerifyCommand:
-    def test_quick_level_passes(self):
+    def test_pass_and_fail_lines_and_exit_codes(self, monkeypatch):
+        # the harness, on stub criteria: a failed check and a blown budget
+        # both fail, and any failure makes the exit code 1
+        passing = ("passes", 10, "quick", lambda: (True, "fine"))
+        failing = ("fails", 10, "quick", lambda: (False, "wrong"))
+        over_budget = ("over-budget", -1, "quick", lambda: (True, "slow"))
+        monkeypatch.setattr(vf, "CRITERIA", [passing])
         rc, out = run_cli("verify", "--level", "quick")
         assert rc == 0
-        lines = [line for line in out.splitlines() if line]
-        assert all(line.startswith("PASS") for line in lines)
+        assert [line.split("\t")[:2] for line in out.splitlines()] == [["PASS", "passes"]]
+        monkeypatch.setattr(vf, "CRITERIA", [passing, failing, over_budget])
+        rc, out = run_cli("verify", "--level", "quick")
+        assert rc == 1
+        lines = [line.split("\t") for line in out.splitlines()]
+        assert [line[:2] for line in lines] == [
+            ["PASS", "passes"], ["FAIL", "fails"], ["FAIL", "over-budget"]]
+        assert [line[3] for line in lines] == ["fine", "wrong", "slow"]
 
     def test_negative_control(self):
         # a partitionable graph must never be reported as an obstruction

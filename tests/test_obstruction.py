@@ -195,13 +195,8 @@ class TestEnumeration:
                     assert sv.solve(gr.induced_subgraph(G, sub), M) is not None
 
 
-# class -> (the diagonals of its 2-part pattern, each member's sides 0 and 1
-# as its recognition witness gives them)
-TWO_SIDED = {
-    "split": ("01", lambda G: [int(v in rec.split_partition(G).clique) for v in range(G.n)]),
-    "bipartite": ("00", rec.is_bipartite),
-    "cobipartite": ("11", rec.is_cobipartite),
-}
+# class -> the diagonals of its 2-part pattern
+TWO_SIDED = {"split": "01", "bipartite": "00", "cobipartite": "11"}
 
 
 def star_pair(M, diagonals):
@@ -214,21 +209,14 @@ def star_pair(M, diagonals):
 
 class TestClassPatterns:
     """The (matrix, class) pairs decided by a part pattern of the class,
-    among the 228 diagonal-star-free matrices."""
+    among the 228 diagonal-star-free matrices.  The lemma behind the rule,
+    that every member partitions through the pattern's parts, is the
+    class-patterns acceptance criterion."""
 
-    @pytest.mark.parametrize("class_name", sorted(TWO_SIDED))
-    def test_every_member_has_the_two_sided_witness(self, class_name):
-        # the lemma behind the rule, with no solver search: each member's
-        # recognition witness, sent to a star pair, partitions it
-        diagonals, sides = TWO_SIDED[class_name]
-        pairs = [(M, pair) for M in vf._diag_star_free_matrices()
-                 if (pair := star_pair(M, diagonals)) is not None]
-        assert len(pairs) == (92 if class_name == "split" else 47)
-        for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
-            for G in ORACLE_CANDIDATES[class_name](n):
-                side = sides(G)
-                for M, pair in pairs:
-                    assert sv.validate(G, M, [pair[s] for s in side])
+    def test_star_blocks_gives_the_first_star_pair(self):
+        for M in vf._diag_star_free_matrices():
+            for diagonals in TWO_SIDED.values():
+                assert M.star_blocks.get(diagonals) == star_pair(M, diagonals)
 
     def test_coverage(self, monkeypatch):
         # a pair is decided iff enumeration classifies no candidate, not even K1
@@ -246,15 +234,14 @@ class TestClassPatterns:
         covered = {c: {M for M in matrices if decided(M, c)} for c in ob.CLASS_LIMITS}
         assert {c: len(ms) for c, ms in covered.items()} == \
             {"all": 0, "bipartite": 47, "chordal": 0, "cobipartite": 47, "split": 92}
-        assert covered["split"] == {M for M in matrices if M.c_star is not None}
-        for c, (diagonals, _) in TWO_SIDED.items():
+        for c, diagonals in TWO_SIDED.items():
             assert covered[c] == {M for M in matrices if star_pair(M, diagonals)}
         assert {pat.complement_matrix(M) for M in covered["bipartite"]} == covered["cobipartite"]
         # enumeration-determinism's matrix has no one-diagonal part
         assert pat.parse_matrix("0*1;*0*;1*0") not in covered["split"]
 
     def test_decided_report(self):
-        for class_name, (diagonals, _) in TWO_SIDED.items():
+        for class_name, diagonals in TWO_SIDED.items():
             limit = ob.CLASS_LIMITS[class_name]
             for M in vf._diag_star_free_matrices():
                 if star_pair(M, diagonals):

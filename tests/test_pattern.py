@@ -38,20 +38,24 @@ class TestParse:
 
 class TestPredicates:
     def test_c_star(self):
-        assert pat.parse_matrix("0*;*1").c_star == (0, 1)
+        # the C-star pair: a zero-diagonal part, then a one-diagonal part
+        assert pat.parse_matrix("0*;*1").star_blocks["01"] == (0, 1)
         # first zero-diagonal part, then first one-diagonal part, in index order
-        assert pat.parse_matrix("0*1*;*0*0;1*1*;*0*1").c_star == (0, 3)
-        assert pat.parse_matrix("1**;*0*;**1").c_star == (1, 0)
-        assert pat.parse_matrix("01;11").c_star is None
-        assert pat.make_m_kt(3, 1).c_star is None  # ell=0, C empty
+        assert pat.parse_matrix("0*1*;*0*0;1*1*;*0*1").star_blocks["01"] == (0, 3)
+        assert pat.parse_matrix("1**;*0*;**1").star_blocks["01"] == (1, 0)
+        assert "01" not in pat.parse_matrix("01;11").star_blocks
+        assert "01" not in pat.make_m_kt(3, 1).star_blocks  # ell=0, C empty
 
     def test_star_blocks(self):
-        assert pat.parse_matrix("0*;*1").star_blocks == {"0", "1", "01"}
-        assert pat.parse_matrix("1*;*0").star_blocks == {"0", "1", "01"}
-        assert pat.parse_matrix("0*1;*0*;1*0").star_blocks == {"0", "00"}
-        assert pat.parse_matrix("*0;00").star_blocks == {"*", "0"}
-        assert pat.parse_matrix("1**;*1*;**1").star_blocks == {"1", "11"}
-        assert pat.parse_matrix("01;11").star_blocks == {"0", "1"}
+        assert pat.parse_matrix("0*;*1").star_blocks == {"0": (0,), "1": (1,), "01": (0, 1)}
+        assert pat.parse_matrix("1*;*0").star_blocks == {"1": (0,), "0": (1,), "01": (1, 0)}
+        assert pat.parse_matrix("0*1;*0*;1*0").star_blocks == {"0": (0,), "00": (0, 1)}
+        assert pat.parse_matrix("*0;00").star_blocks == {"*": (0,), "0": (1,)}
+        assert pat.parse_matrix("0*;**").star_blocks == {"0": (0,), "*": (1,), "*0": (1, 0)}
+        assert pat.parse_matrix("1**;*1*;**1").star_blocks == {"1": (0,), "11": (0, 1)}
+        assert pat.parse_matrix("1*1;*1*;1*1").star_blocks["11"] == (0, 1)
+        assert pat.parse_matrix("11*;11*;**1").star_blocks["11"] == (0, 2)
+        assert pat.parse_matrix("01;11").star_blocks == {"0": (0,), "1": (1,)}
         M = pat.parse_matrix("0*;*0")
         assert M.star_blocks is M.star_blocks
 
@@ -117,7 +121,6 @@ class TestPredicates:
     def test_derived_once(self):
         M = pat.parse_matrix("0*;*1")
         assert M.masks is M.masks
-        assert M.c_star is M.c_star
         assert M.interchangeable is M.interchangeable
 
 

@@ -8,6 +8,7 @@ from mpart import errors
 from mpart import graph as gr
 from mpart import obstruction as ob
 from mpart import pattern as pat
+from mpart import recognize as rec
 from mpart import solver as sv
 from unpruned import unpruned_solve
 
@@ -187,11 +188,17 @@ class TestSolveSplit:
             sv.solve_split(gr.path(3), pat.parse_matrix("**;*1"))
 
     def test_c_star_direct_witness(self):
-        M = pat.parse_matrix("0*;*1")
-        for n in range(1, 8):
-            for G in gr.enumerate_split_graphs(n):
-                w = sv.solve_split(G, M)
-                assert w is not None and sv.validate(G, M, w)
+        # the witness is read off the C-star pair and the split partition:
+        # the independent side goes to p, the clique to q
+        for rows in ("0*;*1", "1**;*0*;**1"):
+            M = pat.parse_matrix(rows)
+            p, q = M.star_blocks["01"]
+            for n in range(1, 8):
+                for G in gr.enumerate_split_graphs(n):
+                    clique = rec.split_partition(G).clique
+                    w = sv.solve_split(G, M)
+                    assert w.parts == tuple(q if v in clique else p for v in range(G.n))
+                    assert sv.validate(G, M, w)
 
     def test_c_star_witness_checked_without_assert(self, monkeypatch):
         # the check must survive python -O, which strips assert statements
