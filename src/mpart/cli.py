@@ -148,25 +148,18 @@ def cmd_construct(args) -> int:
 def cmd_recognize(args) -> int:
     G = _load_graph(args)
     cls = args.class_name
+    witness = rec.RECOGNIZERS[cls](G)
+    if witness is None:
+        print(json.dumps({"result": "not-in-class", "class": cls}))
+        return 1
     if cls == "split":
-        sp = rec.split_partition(G)
-        if sp is None:
-            print(json.dumps({"result": "not-in-class", "class": cls}))
-            return 1
-        print(json.dumps({"class": cls, "clique": sorted(sp.clique),
-                          "independent": sorted(sp.independent)}))
-    elif cls in ("bipartite", "cobipartite"):
-        coloring = rec.is_bipartite(G) if cls == "bipartite" else rec.is_cobipartite(G)
-        if coloring is None:
-            print(json.dumps({"result": "not-in-class", "class": cls}))
-            return 1
-        print(json.dumps({"class": cls, "coloring": list(coloring)}))
+        out = {"clique": [v for v, s in enumerate(witness) if s],
+               "independent": [v for v, s in enumerate(witness) if not s]}
+    elif cls == "chordal":
+        out = {"elimination_order": list(witness)}
     else:
-        order = rec.is_chordal(G)
-        if order is None:
-            print(json.dumps({"result": "not-in-class", "class": cls}))
-            return 1
-        print(json.dumps({"class": cls, "elimination_order": list(order)}))
+        out = {"coloring": list(witness)}
+    print(json.dumps({"class": cls, **out}))
     return 0
 
 
@@ -222,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="graph-class recognition with witness")
     p.add_argument("--class", dest="class_name", required=True,
-                   choices=sorted(set(ob.CLASS_LIMITS) - {"all"}))
+                   choices=sorted(rec.RECOGNIZERS))
     _graph_args(p)
     p.set_defaults(func=cmd_recognize)
 

@@ -1,29 +1,20 @@
-"""Graph-class recognition and homogeneous-set analysis."""
+"""Graph-class recognition and homogeneous-set analysis.
+
+Each recognizer returns a tuple over the vertices, or None outside its
+class.  split_partition, is_bipartite and is_cobipartite give each vertex
+its side, an index into the class's part pattern "01", "00" or "11".
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import PartNotUniform, VertexOutOfRange
 from .graph import Graph, complement
 
 
-@dataclass(frozen=True)
-class SplitPartition:
-    clique: frozenset[int]
-    independent: frozenset[int]
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    part: frozenset[int]
-    classes: tuple[tuple[int, ...], ...]
-    max_class_size: int
-
-
-def split_partition(G: Graph) -> SplitPartition | None:
-    """A split partition, or None; the clique side is as large as possible
-    and lexicographically least among valid cliques of that size.
+def split_partition(G: Graph) -> tuple[int, ...] | None:
+    """Each vertex's side of a split partition, 1 on the clique and 0 on the
+    independent set, or None; the clique is as large as possible and
+    lexicographically least among valid cliques of that size.
 
     Read off the degree sequence in O(n log n) (Hammer and Simeone, The
     splittance of a graph, 1981).  Order the vertices by (-degree, index) and
@@ -43,7 +34,10 @@ def split_partition(G: Graph) -> SplitPartition | None:
             h = i
     if sum(d[:h]) != h * (h - 1) + sum(d[h:]):
         return None
-    return SplitPartition(frozenset(order[:h]), frozenset(order[h:]))
+    side = [0] * G.n
+    for v in order[:h]:
+        side[v] = 1
+    return tuple(side)
 
 
 def is_bipartite(G: Graph):
@@ -117,8 +111,9 @@ def is_chordal(G: Graph):
     return tuple(elim)
 
 
-def homogeneity_report(G: Graph, P) -> HomogeneityReport:
-    """Group a uniform part by equality of neighborhoods outside it.
+def homogeneity_report(G: Graph, P) -> tuple[tuple[int, ...], ...]:
+    """Group a uniform part by equality of neighborhoods outside it, as
+    sorted classes of sorted vertices.
 
     Each class is then a homogeneous set whenever outside adjacency fully
     determines membership, which is what the clique/independent
@@ -138,6 +133,13 @@ def homogeneity_report(G: Graph, P) -> HomogeneityReport:
     groups: dict[int, list[int]] = {}
     for v in verts:
         groups.setdefault(G.adj[v] & ~pmask, []).append(v)
-    classes = tuple(sorted((tuple(g) for g in groups.values())))
-    max_size = max((len(g) for g in classes), default=0)
-    return HomogeneityReport(frozenset(verts), classes, max_size)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+# class name -> its recognizer
+RECOGNIZERS = {
+    "split": split_partition,
+    "bipartite": is_bipartite,
+    "cobipartite": is_cobipartite,
+    "chordal": is_chordal,
+}

@@ -192,28 +192,27 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     """Split-graph solving; equivalent in solvability to solve().
 
     Raises NotSplit for a non-split graph, then DiagonalStar for a star on
-    the diagonal.  With a star in the cross block C (M.star_blocks["01"],
-    the C-star pair) the witness is read off the split partition without
-    search; split_partition sorts the degree sequence, O(n log n).
-    Otherwise the generic search decides: its forward checking already
-    keeps each zero-diagonal part to at most one clique vertex and each
-    one-diagonal part to at most one independent vertex.
+    the diagonal.  With a star in the cross block C, M.star_blocks["01"] is
+    the C-star pair (p, q): the first parts of diagonals 0 and 1 with a star
+    between them.  The witness is then read off split_partition without
+    search: its sides, 0 independent and 1 clique, index the pair, so the
+    independent set goes to p and the clique to q.  split_partition sorts
+    the degree sequence, O(n log n).  Otherwise the generic search decides:
+    its forward checking already keeps each zero-diagonal part to at most
+    one clique vertex and each one-diagonal part to at most one independent
+    vertex.
     """
     # imported on first use, so that importing mpart does not load recognize
     from . import recognize
 
-    sp = recognize.split_partition(G)
-    if sp is None:
+    sides = recognize.split_partition(G)
+    if sides is None:
         raise NotSplit("input graph is not split")
     if STAR in M.star_blocks:
         raise DiagonalStar(f"diagonal {M.diagonal()!r} contains a star")
     if (pair := M.star_blocks.get("01")) is None:
         return solve(G, M)
-    p, q = pair
-    parts = [p] * G.n
-    for v in sp.clique:
-        parts[v] = q
-    out = PartAssignment(tuple(parts))
+    out = PartAssignment(tuple(pair[s] for s in sides))
     if not validate(G, M, out):
         raise InternalError(f"C-star witness {out.parts} fails {M.to_text()}")
     return out

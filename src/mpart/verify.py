@@ -9,7 +9,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import product
-from math import ceil, comb
+from math import ceil
 from pathlib import Path
 
 from . import graph as gr
@@ -87,22 +87,14 @@ def check_feder2008_bound():
     return worst <= 4, f"{len(matrices)} matrices, largest minimal obstruction order {worst}"
 
 
-# 2-part pattern -> a graph's sides 0 and 1 by its recognizer, or None
-_PATTERN_SIDES = {
-    "01": lambda G: (sp := rec.split_partition(G)) and [int(v in sp.clique) for v in range(G.n)],
-    "00": rec.is_bipartite,
-    "11": rec.is_cobipartite,
-}
-
-
 def check_class_patterns():
     """The lemma behind obstruction.decided_by_pattern, for each 2-part
-    pattern a class lists: each member up to the class limit has sides that
-    validate against the pattern's own 2x2 matrix, and each of the 228
-    matrices that star_blocks says embeds the pattern has its diagonals, and
-    a star between them, at the parts the map gives.  That is the same as
-    validating every member against every such matrix: a 2-part assignment
-    reads only those three entries of M."""
+    pattern a class lists: each member up to the class limit has sides, from
+    the class's recognizer, that validate against the pattern's own 2x2
+    matrix, and each of the 228 matrices that star_blocks says embeds the
+    pattern has its diagonals, and a star between them, at the parts the map
+    gives.  That is the same as validating every member against every such
+    matrix: a 2-part assignment reads only those three entries of M."""
     matrices = _diag_star_free_matrices()
     failures = 0
     details = []
@@ -110,7 +102,7 @@ def check_class_patterns():
         for pattern in (p for p in patterns if len(p) == 2):
             own = pat.make_matrix([pattern[0] + pat.STAR, pat.STAR + pattern[1]])
             members = [G for n in range(1, limit + 1) for _, G, _ in candidates(n)]
-            sides = [(G, _PATTERN_SIDES[pattern](G)) for G in members]
+            sides = [(G, rec.RECOGNIZERS[class_name](G)) for G in members]
             failures += sum(side is None or not sv.validate(G, own, side) for G, side in sides)
             pairs = [M.star_blocks[pattern] + (M,) for M in matrices if pattern in M.star_blocks]
             failures += sum((M.rows[p][p], M.rows[q][q], M.rows[p][q]) != (*pattern, pat.STAR)
@@ -129,7 +121,8 @@ def check_theorem5():
         status, _ = ob.classify_minimality(G, M)
         ok = ok and size_ok and split_ok and status == "minimal"
         details.append(f"n={n}: {G.n} vertices, split={split_ok}, {status}")
-    sizes_ok = all(ob.theorem5_size(n) == 4 * n + 1 + comb(2 * n, n) for n in range(1, 11))
+    orders = [7, 15, 33, 87, 273, 949, 3461, 12903, 48657, 184797]
+    sizes_ok = [ob.theorem5_size(n) for n in range(1, 11)] == orders
     ok = ok and sizes_ok
     return ok, "; ".join(details)
 
@@ -218,8 +211,9 @@ def _homogeneity_violations(seed: int, instance):
             parts.setdefault(p, []).append(v)
         for p, verts in parts.items():
             least = need(p, len(verts))
-            if least is not None and rec.homogeneity_report(G, verts).max_class_size < least:
-                violations += 1
+            if least is not None:
+                classes = rec.homogeneity_report(G, verts)
+                violations += max(map(len, classes), default=0) < least
     return violations == 0, f"{done} instances ({attempts} attempts), {violations} violations"
 
 

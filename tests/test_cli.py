@@ -205,17 +205,26 @@ class TestConstruct:
 
 
 class TestRecognize:
+    # the exact stdout and exit code: each class's witness on P4 (0-1-2-3),
+    # and the reply on C5, which is in none of the classes
+    P4 = "4; 0-1, 1-2, 2-3"
+
     def test_split_witness(self):
-        rc, out = run_cli("recognize", "--class", "split",
-                          "--edges", "4; 0-1, 1-2, 2-3")
-        assert rc == 0
-        data = json.loads(out)
-        assert sorted(data["clique"] + data["independent"]) == [0, 1, 2, 3]
+        want = '{"class": "split", "clique": [1, 2], "independent": [0, 3]}\n'
+        assert run_cli("recognize", "--class", "split", "--edges", self.P4) == (0, want)
+
+    @pytest.mark.parametrize("cls, want", [
+        ("bipartite", '{"class": "bipartite", "coloring": [0, 1, 0, 1]}\n'),
+        ("cobipartite", '{"class": "cobipartite", "coloring": [0, 0, 1, 1]}\n'),
+        ("chordal", '{"class": "chordal", "elimination_order": [3, 2, 1, 0]}\n'),
+    ])
+    def test_witness(self, cls, want):
+        assert run_cli("recognize", "--class", cls, "--edges", self.P4) == (0, want)
 
     def test_not_in_class(self):
-        rc, out = run_cli("recognize", "--class", "chordal", "--graph", C5)
-        assert rc == 1
-        assert json.loads(out)["result"] == "not-in-class"
+        for cls in ("split", "chordal"):
+            want = f'{{"result": "not-in-class", "class": "{cls}"}}\n'
+            assert run_cli("recognize", "--class", cls, "--graph", C5) == (1, want)
 
     def test_bipartite(self):
         rc, out = run_cli("recognize", "--class", "bipartite", "--graph", C6)

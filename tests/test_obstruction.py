@@ -141,7 +141,7 @@ class TestEnumeration:
             for v, w in enumerate(cert.witnesses):
                 assert sv.validate(gr.delete_vertex(cert.graph, v), M, w)
 
-    def test_parallel_matches_sequential(self):
+    def test_jobs_is_accepted_and_ignored(self):
         M = pat.make_kl_matrix(2, 0)
         seq = ob.enumerate_minimal_obstructions(M, "all", 6, jobs=1)
         par = ob.enumerate_minimal_obstructions(M, "all", 6, jobs=2)

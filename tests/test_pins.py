@@ -1,11 +1,13 @@
-"""Byte pins: SHA-256 digests of solve witnesses, of the canonical order and
-decks of the generators, and of one matrix's catalogs.
+"""Byte pins: SHA-256 digests of solve and solve_split witnesses, of the
+canonical order and decks of the generators, and of one matrix's catalogs.
 
 The searches promise more than solvability: `solve` tries vertices by minimum
 remaining values with index tiebreak and parts lowest first, so its witness
-is fixed; `canonical_form` fixes the order of every generated list, its decks
-and every catalog.  A change to either search that keeps the answers but
-moves these bytes fails here.
+is fixed; `solve_split` reads its C-star witness off the first `01` pair of
+`star_blocks` and the largest, lexicographically least split clique;
+`canonical_form` fixes the order of every generated list, its decks and every
+catalog.  A change to any of them that keeps the answers but moves these
+bytes fails here.
 """
 
 import hashlib
@@ -43,6 +45,20 @@ def test_solve_witnesses_on_split_graphs():
                 w = sv.solve(G, M)
                 lines.append("-" if w is None else "".join(map(str, w.parts)))
     assert _digest(lines) == "fac9142c51bb2cf380c148b8a91392725e08a48884e68b2c051f3aea54077400"
+
+
+def test_solve_split_witnesses_on_split_graphs():
+    # the 92 matrices with a C-star pair, whose witnesses solve_split reads
+    # off the split partition; on the other 136 it calls solve, pinned above
+    matrices = [M for M in _diag_star_free_matrices() if "01" in M.star_blocks]
+    assert len(matrices) == 92
+    lines = []
+    for n in range(8):
+        for G in gr.enumerate_split_graphs(n):
+            for M in matrices:
+                lines.append("".join(map(str, sv.solve_split(G, M).parts)))
+    assert len(lines) == 23736
+    assert _digest(lines) == "288281af2fef76d7473133e5e9d1c293cecdcd160e337aa4e9059ec95ffa44aa"
 
 
 def test_solve_witnesses_of_the_theorem5_deletions():

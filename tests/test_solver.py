@@ -49,7 +49,7 @@ class TestValidate:
 
 class TestPartAssignment:
     def test_pickle_round_trip(self):
-        # the enumeration pool sends witnesses back pickled
+        # a witness is a frozen, slotted value that survives a trip between processes
         w = sv.PartAssignment((0, 1, 1, 0))
         assert pickle.loads(pickle.dumps(w)) == w
         assert pickle.loads(pickle.dumps((w, w)))[1].parts == (0, 1, 1, 0)
@@ -195,9 +195,9 @@ class TestSolveSplit:
             p, q = M.star_blocks["01"]
             for n in range(1, 8):
                 for G in gr.enumerate_split_graphs(n):
-                    clique = rec.split_partition(G).clique
+                    sides = rec.split_partition(G)
                     w = sv.solve_split(G, M)
-                    assert w.parts == tuple(q if v in clique else p for v in range(G.n))
+                    assert w.parts == tuple(q if s else p for s in sides)
                     assert sv.validate(G, M, w)
 
     def test_c_star_witness_checked_without_assert(self, monkeypatch):
