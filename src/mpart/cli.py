@@ -93,7 +93,7 @@ def cmd_solve(args) -> int:
     if witness is None:
         print(json.dumps({"result": "no-partition"}))
         return 1
-    print(witness.to_json())
+    print(json.dumps({"parts": list(witness.parts)}))
     return 0
 
 
@@ -117,11 +117,8 @@ def cmd_enumerate(args) -> int:
     M = _load_matrix(args)
     report = ob.enumerate_minimal_obstructions(M, args.class_name, args.max_n, jobs=args.jobs)
     ob.save_catalog(report, args.data_dir, __version__)
-    if args.output == "tsv":
-        counts = "\n".join(f"{n}\t{c}" for n, c in sorted(report.counts.items()))
-        sys.stdout.write(f"order\tcount\n{counts}\n\n{ob.report_to_tsv(report)}")
-    else:
-        sys.stdout.write(ob.report_to_json(report) + "\n")
+    sys.stdout.write(ob.report_to_tsv(report) if args.output == "tsv"
+                     else ob.report_to_json(report) + "\n")
     return 0
 
 

@@ -114,25 +114,11 @@ def complement(G: Graph) -> Graph:
 
 
 def delete_vertex(G: Graph, v: int) -> Graph:
+    """G - v: the vertices above v move down by one, each row's bits with them."""
     if not (0 <= v < G.n):
         raise VertexOutOfRange(f"vertex {v} outside 0..{G.n - 1}")
-    keep = [u for u in range(G.n) if u != v]
-    return induced_subgraph(G, keep)
-
-
-def induced_subgraph(G: Graph, vertices) -> Graph:
-    verts = list(vertices)
-    for u in verts:
-        if not (0 <= u < G.n):
-            raise VertexOutOfRange(f"vertex {u} outside 0..{G.n - 1}")
-    pos = {u: i for i, u in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, u in enumerate(verts):
-        row = G.adj[u]
-        for w, j in pos.items():
-            if row >> w & 1:
-                adj[i] |= 1 << j
-    return Graph(len(verts), tuple(adj))
+    low = (1 << v) - 1
+    return Graph(G.n - 1, tuple(r & low | r >> 1 & ~low for r in G.adj[:v] + G.adj[v + 1:]))
 
 
 def empty(n: int) -> Graph:

@@ -42,7 +42,10 @@ class MinimalityCertificate:
 @dataclass(frozen=True, slots=True)
 class EnumerationReport:
     """Minimal obstructions of the class up to order n_max, as (graph6,
-    certificate) pairs in canonical-form order, with witnesses under matrix."""
+    certificate) pairs in canonical-form order, with witnesses under matrix.
+    Each graph6 is a canonical representative (`canonical_graph`), except in
+    cobipartite: there it is the complement of a canonical bipartite
+    representative, which is in general not canonical itself."""
 
     matrix: PatternMatrix
     class_name: str
@@ -298,9 +301,12 @@ def report_to_json(report: EnumerationReport) -> str:
 
 
 def report_to_tsv(report: EnumerationReport) -> str:
+    """An order/count block, a blank line, then one row per obstruction.  An
+    empty report keeps an empty line in place of its counts."""
+    counts = "\n".join(f"{n}\t{c}" for n, c in sorted(report.counts.items()))
     lines = ["n\tgraph6\tcertificate-ok"]
     lines.extend(f"{cert.graph.n}\t{g6}\tok" for g6, cert in report.obstructions)
-    return "\n".join(lines) + "\n"
+    return f"order\tcount\n{counts}\n\n" + "\n".join(lines) + "\n"
 
 
 def save_catalog(report: EnumerationReport, root, version: str) -> Path:

@@ -57,7 +57,6 @@ is unchanged, and the twin skip's argument above holds as it stands.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import DiagonalStar, InternalError, NotSplit, PartOutOfRange, TooLarge
@@ -71,19 +70,10 @@ class PartAssignment:
 
     parts: tuple[int, ...]
 
-    def to_json(self) -> str:
-        return json.dumps({"parts": list(self.parts)})
 
-
-def _parts_of(assignment) -> tuple[int, ...]:
-    if isinstance(assignment, PartAssignment):
-        return assignment.parts
-    return tuple(assignment)
-
-
-def validate(G: Graph, M: PatternMatrix, assignment) -> bool:
-    """Check an assignment against all pair constraints of the matrix."""
-    parts = _parts_of(assignment)
+def validate(G: Graph, M: PatternMatrix, parts) -> bool:
+    """Check a per-vertex sequence of part indices against all pair
+    constraints of the matrix."""
     n, m = G.n, M.m
     if len(parts) != n:
         raise PartOutOfRange(f"assignment covers {len(parts)} of {n} vertices")
@@ -212,10 +202,10 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
         raise DiagonalStar(f"diagonal {M.diagonal()!r} contains a star")
     if (pair := M.star_blocks.get("01")) is None:
         return solve(G, M)
-    out = PartAssignment(tuple(pair[s] for s in sides))
-    if not validate(G, M, out):
-        raise InternalError(f"C-star witness {out.parts} fails {M.to_text()}")
-    return out
+    parts = tuple(pair[s] for s in sides)
+    if not validate(G, M, parts):
+        raise InternalError(f"C-star witness {parts} fails {M.to_text()}")
+    return PartAssignment(parts)
 
 
 def count_partitions(G: Graph, M: PatternMatrix) -> int:

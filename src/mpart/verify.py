@@ -264,7 +264,7 @@ def check_solve_split_equivalence():
         s2 = sv.solve_split(G, M)
         if (s1 is None) != (s2 is None):
             disagreements += 1
-        elif s2 is not None and not sv.validate(G, M, s2):
+        elif s2 is not None and not sv.validate(G, M, s2.parts):
             disagreements += 1
     return disagreements == 0, f"1000 pairs, {disagreements} disagreements"
 

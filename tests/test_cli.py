@@ -45,8 +45,8 @@ class TestSolve:
         rc, out = run_cli("solve", "--matrix", "0*;*1",
                           "--edges", "4; 0-1, 1-2, 2-3")
         assert rc == 0
-        parts = json.loads(out)["parts"]
-        assert sv.validate(gr.path(4), pat.parse_matrix("0*;*1"), parts)
+        assert out == '{"parts": [0, 1, 1, 0]}\n'
+        assert sv.validate(gr.path(4), pat.parse_matrix("0*;*1"), json.loads(out)["parts"])
 
     @pytest.mark.parametrize("matrix", ["1*;*1", "1*1;*1*;1*1"])
     def test_failure_behind_independent_choices_is_decided(self, matrix):
@@ -133,6 +133,18 @@ class TestEnumerate:
         assert rc == 0
         assert out.startswith("order\tcount\n")
         assert "n\tgraph6\tcertificate-ok" in out
+
+    @pytest.mark.parametrize("matrix, class_name, max_n, want", [
+        # a decided pair: no counts, and the empty block keeps its line
+        ("0*;*1", "split", "9", "order\tcount\n\n\nn\tgraph6\tcertificate-ok\n"),
+        ("0*;*0", "all", "5",
+         "order\tcount\n3\t1\n5\t1\n\nn\tgraph6\tcertificate-ok\n3\tBw\tok\n5\tDLo\tok\n"),
+    ])
+    def test_tsv_bytes(self, matrix, class_name, max_n, want, tmp_path):
+        rc, out = run_cli("enumerate", "--matrix", matrix, "--class", class_name,
+                          "--max-n", max_n, "--output", "tsv", "--data-dir", str(tmp_path))
+        assert rc == 0
+        assert out == want
 
     def test_split_empty(self, tmp_path):
         rc, out = run_cli("enumerate", "--matrix", "0*;*1", "--class", "split",

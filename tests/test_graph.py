@@ -98,12 +98,18 @@ class TestTransforms:
             v = rng.randrange(n)
             assert gr.complement(gr.delete_vertex(G, v)) == gr.delete_vertex(gr.complement(G), v)
 
-    def test_induced_subgraph(self):
-        C5 = gr.cycle(5)
-        assert iso(gr.induced_subgraph(C5, [0, 1, 2, 3]), gr.path(4))
-        assert gr.induced_subgraph(C5, range(5)) == C5
+    def test_delete_matches_kept_edges(self):
+        # the edges that miss v, each end above v moved down by one
+        for n in range(1, 8):
+            for G in gr.enumerate_graphs(n):
+                for v in range(n):
+                    kept = [(a - (a > v), b - (b > v)) for a, b in G.edges() if v not in (a, b)]
+                    assert gr.delete_vertex(G, v) == gr.from_edges(n - 1, kept)
+
+    @pytest.mark.parametrize("v", [-1, 5])
+    def test_delete_out_of_range(self, v):
         with pytest.raises(errors.VertexOutOfRange):
-            gr.induced_subgraph(C5, [0, 9])
+            gr.delete_vertex(gr.cycle(5), v)
 
 
 class TestGenerators:

@@ -17,6 +17,13 @@ def two_k2():
     return gr.disjoint_union(gr.complete(2), gr.complete(2))
 
 
+def delete_vertices(G, gone):
+    """The subgraph induced by the vertices not in gone, highest deleted first."""
+    for v in sorted(gone, reverse=True):
+        G = gr.delete_vertex(G, v)
+    return G
+
+
 def _filtered(test, transform=lambda G: G):
     return lambda n: [transform(G) for G in gr.enumerate_graphs(n) if test(G) is not None]
 
@@ -82,7 +89,7 @@ class TestMinimality:
         status, witnesses = ob.classify_minimality(gr.cycle(5), M)
         assert status == "minimal"
         for v in range(5):
-            assert sv.validate(gr.delete_vertex(gr.cycle(5), v), M, witnesses[v])
+            assert sv.validate(gr.delete_vertex(gr.cycle(5), v), M, witnesses[v].parts)
 
 
 class TestEnumeration:
@@ -139,7 +146,21 @@ class TestEnumeration:
         assert co.counts == bip.counts
         for _, cert in co.obstructions:
             for v, w in enumerate(cert.witnesses):
-                assert sv.validate(gr.delete_vertex(cert.graph, v), M, w)
+                assert sv.validate(gr.delete_vertex(cert.graph, v), M, w.parts)
+
+    @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
+    def test_graph6_is_a_canonical_representative(self, class_name):
+        # cobipartite candidates are complements of canonical bipartite
+        # graphs, so there the complement is the canonical representative
+        flip = gr.complement if class_name == "cobipartite" else (lambda G: G)
+        n_max = 7 if class_name == "split" else 6
+        emitted = [g6 for rows in ["01;11", "01;10", "001;011;111", "0*1;*1*;1*0"]
+                   for g6, _ in ob.enumerate_minimal_obstructions(
+                       pat.parse_matrix(rows), class_name, n_max).obstructions]
+        assert emitted
+        for g6 in emitted:
+            G = flip(gr.parse_graph6(g6))
+            assert gr.to_graph6(G) == gr.to_graph6(gr.canonical_graph(G))
 
     def test_jobs_is_accepted_and_ignored(self):
         M = pat.make_kl_matrix(2, 0)
@@ -190,9 +211,9 @@ class TestEnumeration:
         report = ob.enumerate_minimal_obstructions(M, "all", 6)
         for _, cert in report.obstructions:
             G = cert.graph
-            for size in range(1, G.n):
-                for sub in combinations(range(G.n), size):
-                    assert sv.solve(gr.induced_subgraph(G, sub), M) is not None
+            for k in range(1, G.n):
+                for gone in combinations(range(G.n), k):
+                    assert sv.solve(delete_vertices(G, gone), M) is not None
 
 
 # class -> the diagonals of its 2-part pattern
@@ -286,7 +307,7 @@ class TestTheorem5:
             s2 = sv.solve_split(H, M)
             assert (s1 is None) == (s2 is None) == (H is G)
             if s2 is not None:
-                assert sv.validate(H, M, s2)
+                assert sv.validate(H, M, s2.parts)
 
     def test_bad_parameters(self):
         with pytest.raises(errors.BadParameters):
@@ -312,7 +333,7 @@ class TestGtFamily:
 
     def test_induced_2k2(self):
         G = ob.construct_gt(3)
-        sub = gr.induced_subgraph(G, [0, 1, 4, 5])
+        sub = delete_vertices(G, [2, 3, 6])
         assert gr.canonical_form(sub) == gr.canonical_form(two_k2())
 
     def test_bad_parameters(self):
@@ -345,9 +366,10 @@ class TestReports:
         report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 5)
         data = json.loads(ob.report_to_json(report))
         assert data["counts"] == {"3": 1, "5": 1}
-        tsv = ob.report_to_tsv(report)
-        assert tsv.splitlines()[0] == "n\tgraph6\tcertificate-ok"
-        assert len(tsv.splitlines()) == 3
+        tsv = ob.report_to_tsv(report).splitlines()
+        assert tsv[:4] == ["order\tcount", "3\t1", "5\t1", ""]
+        assert tsv[4] == "n\tgraph6\tcertificate-ok"
+        assert len(tsv) == 7
 
     def test_save_catalog(self, tmp_path):
         report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 5)

@@ -55,7 +55,7 @@ def test_solve_agrees_with_count_and_its_witness_validates(G, M):
     if w is None:
         assert sv.count_partitions(G, M) == 0
     else:
-        assert sv.validate(G, M, w)
+        assert sv.validate(G, M, w.parts)
         assert sv.count_partitions(G, M) > 0
 
 

@@ -83,7 +83,7 @@ class TestSolve:
             M = random_matrix(rng, rng.randint(1, 3), star_diag=True)
             w = sv.solve(G, M)
             if w is not None:
-                assert sv.validate(G, M, w)
+                assert sv.validate(G, M, w.parts)
 
     def test_witness_matches_unpruned_search_on_the_families(self):
         # the families with interchangeable parts: M_{k,t} and the (k, ell) matrices
@@ -198,7 +198,7 @@ class TestSolveSplit:
                     sides = rec.split_partition(G)
                     w = sv.solve_split(G, M)
                     assert w.parts == tuple(q if s else p for s in sides)
-                    assert sv.validate(G, M, w)
+                    assert sv.validate(G, M, w.parts)
 
     def test_c_star_witness_checked_without_assert(self, monkeypatch):
         # the check must survive python -O, which strips assert statements
@@ -223,4 +223,4 @@ class TestSolveSplit:
             s2 = sv.solve_split(G, M)
             assert (s1 is None) == (s2 is None)
             if s2 is not None:
-                assert sv.validate(G, M, s2)
+                assert sv.validate(G, M, s2.parts)
