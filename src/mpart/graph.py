@@ -299,12 +299,20 @@ def canonical_form(G: Graph) -> bytes:
     the 207 graphs on 2 to 6 vertices, `DK[` among them, it is larger.  The
     order of the generated lists, their decks and the catalogs follow this
     code, so they depend on the exact ordered partition `_refine` returns.
-    The leaves that reach the code, which `_automorphisms` reads, are
-    dropped.
+    `canonical_labeling` also returns the first leaf that reaches the code.
+    """
+    return canonical_labeling(G)[0]
+
+
+def canonical_labeling(G: Graph) -> tuple[bytes, list[int]]:
+    """(form, order): `canonical_form(G)` and the first leaf of its search
+    that reaches the code, as the list whose entry i is the vertex of G
+    that is vertex i of `graph_from_canonical_form(form)`.  The other leaves
+    that reach the code, which `_automorphisms` reads, are dropped.
     """
     n = G.n
-    code, _ = _search(G.adj)
-    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
+    code, leaves = _search(G.adj)
+    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big"), leaves[0]
 
 
 def graph_from_canonical_form(form: bytes) -> Graph:
@@ -347,8 +355,9 @@ def _mask_images(perm, top):
 
 
 @cache
-def _augment(n: int, split: bool) -> tuple[tuple[Graph, ...], tuple[tuple[int, ...], ...]]:
-    """(graphs, decks) on n vertices, all graphs or split graphs only.
+def _augment(n: int, split: bool) -> tuple[
+        tuple[Graph, ...], tuple[tuple[int, ...], ...], tuple[bytes, ...]]:
+    """(graphs, decks, orders) on n vertices, all graphs or split graphs only.
 
     Every graph of the class on n - 1 vertices (the parents, in their list
     order) gets a new vertex with each possible neighbourhood; split children
@@ -360,13 +369,21 @@ def _augment(n: int, split: bool) -> tuple[tuple[Graph, ...], tuple[tuple[int, .
     group generated by `_automorphisms(parent)` is tried.  The deck records
     each parent once per class, so any group of automorphisms gives the
     same output; a larger one only tries fewer children.
+
+    Each child gets one search, `canonical_labeling`.  Per graph and deck
+    parent, the order of the first child of that parent reaching the graph
+    is kept, n bytes, and the graph's orders are packed into one bytes
+    object.  Parents are taken in list order, so the deck is in parent
+    order and its j-th entry lines up with the j-th n bytes.
     """
     if n == 0:
-        return (Graph(0, ()),), ((),)
+        return (Graph(0, ()),), ((),), (b"",)
     if split:
         from .recognize import split_partition  # recognize imports this module
     top = 1 << (n - 1)
-    decks: dict[bytes, list[int]] = {}
+    # form -> [its packed orders, then its deck]: one list per graph, so
+    # the orders need no container of their own while forms are collected
+    decks: dict[bytes, list] = {}
     for p, parent in enumerate(_augment(n - 1, split)[0]):
         base = parent.adj
         images = [_mask_images(perm, top) for perm in _automorphisms(parent)]
@@ -387,12 +404,17 @@ def _augment(n: int, split: bool) -> tuple[tuple[Graph, ...], tuple[tuple[int, .
             child = Graph(n, tuple(adj))
             if split and split_partition(child) is None:
                 continue
-            deck = decks.setdefault(canonical_form(child), [])
-            if not deck or deck[-1] != p:
-                deck.append(p)
+            form, order = canonical_labeling(child)
+            entry = decks.setdefault(form, [b""])
+            if len(entry) == 1 or entry[-1] != p:
+                entry[0] += bytes(order)
+                entry.append(p)
     forms = sorted(decks)
-    packed = tuple(tuple(decks.pop(f)) for f in forms)  # pop: free each list as it is packed
-    return tuple(graph_from_canonical_form(f) for f in forms), packed
+    packed, orders = [], []
+    for entry in map(decks.pop, forms):  # pop: free each list as it is packed
+        packed.append(tuple(entry[1:]))
+        orders.append(entry[0])
+    return tuple(graph_from_canonical_form(f) for f in forms), tuple(packed), tuple(orders)
 
 
 def enumerate_graphs(n: int):
@@ -431,6 +453,20 @@ def split_graph_decks(n: int) -> tuple[tuple[int, ...], ...]:
     `enumerate_split_graphs(n - 1)` (every G - v of a split graph is split)."""
     _check_order(n, MAX_ENUM_SPLIT, "split ")
     return _augment(n, True)[1]
+
+
+def deck_orders(n: int, split: bool) -> tuple[bytes, ...]:
+    """Labelings behind `graph_decks(n)`, or `split_graph_decks(n)` when
+    split.  For the i-th graph G and the j-th parent P of its deck, entry i
+    holds at [j * n:(j + 1) * n] the order o of a child C of P (P plus the
+    vertex n - 1) isomorphic to G: vertex k of G is vertex o[k] of C, so u
+    and v are adjacent in G iff o[u] and o[v] are in C.  G minus the vertex
+    k with o[k] = n - 1 is then P, each other k being P's vertex o[k]."""
+    if split:
+        _check_order(n, MAX_ENUM_SPLIT, "split ")
+    else:
+        _check_order(n, MAX_ENUM_ALL, "")
+    return _augment(n, split)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .graph import (
     Graph,
     canonical_form,
     complement,
+    deck_orders,
     delete_vertex,
     enumerate_graphs,
     enumerate_split_graphs,
@@ -118,6 +119,34 @@ def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
     return not M.star_blocks.keys().isdisjoint(_CLASSES[class_name][1])
 
 
+def _extend(G: Graph, deck, orders: bytes, partitioned: dict[int, bytes], M: PatternMatrix):
+    """Parts of G, one byte per vertex, from the first deck parent whose
+    parts extend to the vertex the parent lacks, or None when none does.
+
+    The parent's parts carry over through the order `deck_orders` keeps for
+    it; the new vertex takes the lowest part whose rows of M.masks admit the
+    parts of its neighbours and of its non-neighbours."""
+    n = G.n
+    adj_ok, nonadj_ok = M.masks
+    for j, p in enumerate(deck):
+        parts = partitioned[p]
+        order = orders[j * n:(j + 1) * n]
+        new = order.index(n - 1)
+        row = G.adj[new]
+        near = far = 0
+        for k, u in enumerate(order):
+            if row >> k & 1:
+                near |= 1 << parts[u]
+            elif k != new:
+                far |= 1 << parts[u]
+        for q in range(M.m):
+            if not (near & ~adj_ok[q] or far & ~nonadj_ok[q]):
+                # vertex k of G takes the part of the parent's vertex
+                # order[k], and q for the new vertex n - 1
+                return bytes(map((parts + bytes((q,))).__getitem__, order))
+    return None
+
+
 def enumerate_minimal_obstructions(
     M: PatternMatrix, class_name: str, n_max: int, jobs: int = 1
 ) -> EnumerationReport:
@@ -133,10 +162,17 @@ def enumerate_minimal_obstructions(
 
     Otherwise, partitionability is hereditary, so a candidate with an
     obstructed graph in its deck is obstructed and not minimal, and needs
-    no solve.  Only the open candidates, whose whole deck is partitionable,
-    are classified, in candidate order in the calling process; they are
-    partitionable or minimal.  jobs is accepted for compatibility and
-    ignored.
+    no solve.  The other candidates are open: their whole deck partitions.
+    Each partitionable candidate's parts are kept for the next order, and
+    an open candidate first tries to extend a deck parent's parts by one
+    vertex (`_extend`).  Only when none extends is it classified by
+    `classify_minimality`, in candidate order in the calling process; it is
+    then partitionable or minimal.  The outputs are those of classifying
+    every open candidate: an extended candidate is partitionable, which
+    emits nothing; every other one is classified as before; and a minimal
+    obstruction's witnesses come from `solve(delete_vertex(G, v))`, never
+    from kept parts.  Equal witnesses of one report are one object.  jobs
+    is accepted for compatibility and ignored.
     """
     if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
@@ -152,23 +188,41 @@ def enumerate_minimal_obstructions(
             if STAR in M.star_blocks else "",
         )
     found = []
-    obstructed: set[int] = set()  # at order n - 1; the graph on no vertex partitions
+    # at order n - 1: the obstructed candidates' indices, and the parts of
+    # the others by index.  The graph on no vertex partitions.
+    obstructed: set[int] = set()
+    partitioned = {0: b""}
     for n in range(1, n_max + 1):
         now: set[int] = set()
-        for i, G, deck in candidates(n):
+        parts_now: dict[int, bytes] = {}
+        group = candidates(n)  # first, so the generators, not deck_orders, build the order
+        # the orders share the decks' index space: split graphs' in split,
+        # all graphs' in the other classes.  Only open candidates read them,
+        # so the obstructed ones cost no extra memory traffic.
+        orders = deck_orders(n, class_name == "split")
+        for i, G, deck in group:
             if not obstructed.isdisjoint(deck):
                 now.add(i)
                 continue
-            status, witnesses = classify_minimality(G, M)
-            if status == "not-minimal":
-                raise InternalError(f"{to_graph6(G)} has an obstructed deletion missing from its deck")
-            if status == "minimal":
-                now.add(i)
-                found.append((canonical_form(G), G, witnesses))
-        obstructed = now
+            parts = _extend(G, deck, orders[i], partitioned, M)
+            if parts is None:
+                status, payload = classify_minimality(G, M)
+                if status == "not-minimal":
+                    raise InternalError(
+                        f"{to_graph6(G)} has an obstructed deletion missing from its deck")
+                if status == "minimal":
+                    now.add(i)
+                    found.append((canonical_form(G), G, payload))
+                    continue
+                parts = bytes(payload.parts)
+            if n < n_max:  # no order reads the last one's parts
+                parts_now[i] = parts
+        obstructed, partitioned = now, parts_now
     found.sort(key=lambda x: x[0])
-    obstructions = tuple((to_graph6(G), MinimalityCertificate(G, witnesses))
-                         for _, G, witnesses in found)
+    shared: dict[tuple[int, ...], PartAssignment] = {}
+    obstructions = tuple(
+        (to_graph6(G), MinimalityCertificate(G, tuple(shared.setdefault(w.parts, w) for w in ws)))
+        for _, G, ws in found)
     return EnumerationReport(M, class_name, n_max, obstructions)
 
 

@@ -8,6 +8,7 @@ anticompleteness, '*' imposes nothing.  Entries are kept as the characters
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,7 +28,10 @@ class PatternMatrix:
 
     The structure the solvers, the enumeration and the bounds read (part
     masks, the interchangeable parts, (k, ell), the parts each part pattern
-    embeds in) is derived once per instance and cached on it.
+    embeds in) is derived once per instance and cached on it.  The
+    constructors below return one live instance per row tuple (`_shared`),
+    so its caches are shared too: callers must not mutate `star_blocks`,
+    the one cache that is a mutable dict.
     """
 
     rows: tuple[str, ...]
@@ -90,6 +94,19 @@ class PatternMatrix:
         return self.to_text()
 
 
+_LIVE: weakref.WeakValueDictionary[tuple[str, ...], PatternMatrix] = weakref.WeakValueDictionary()
+
+
+def _shared(rows: tuple[str, ...]) -> PatternMatrix:
+    """The live PatternMatrix with these rows, made if there is none.  The
+    table holds its matrices weakly, so a matrix nothing else holds is
+    freed, and its entry with it."""
+    M = _LIVE.get(rows)
+    if M is None:
+        M = _LIVE[rows] = PatternMatrix(rows)
+    return M
+
+
 def make_matrix(rows) -> PatternMatrix:
     """Build a PatternMatrix from row strings, validating shape and symmetry."""
     rows = tuple(str(r) for r in rows)
@@ -106,7 +123,7 @@ def make_matrix(rows) -> PatternMatrix:
         for j in range(i + 1, m):
             if rows[i][j] != rows[j][i]:
                 raise NotSymmetric(f"entry ({i},{j})={rows[i][j]!r} != ({j},{i})={rows[j][i]!r}")
-    return PatternMatrix(rows)
+    return _shared(rows)
 
 
 def parse_matrix(text: str) -> PatternMatrix:
@@ -122,7 +139,7 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 def complement_matrix(M: PatternMatrix) -> PatternMatrix:
     """Entrywise swap of 0 and 1; stars are fixed."""
-    return PatternMatrix(tuple(r.translate(_COMPLEMENT) for r in M.rows))
+    return _shared(tuple(r.translate(_COMPLEMENT) for r in M.rows))
 
 
 def make_m_kt(k: int, t: int) -> PatternMatrix:
@@ -138,7 +155,7 @@ def make_m_kt(k: int, t: int) -> PatternMatrix:
     for j in range(k - 1 - t, k - 1):
         rows[k - 1][j] = ONE
         rows[j][k - 1] = ONE
-    return PatternMatrix(tuple("".join(r) for r in rows))
+    return _shared(tuple("".join(r) for r in rows))
 
 
 def make_kl_matrix(k: int, ell: int) -> PatternMatrix:
@@ -153,4 +170,4 @@ def make_kl_matrix(k: int, ell: int) -> PatternMatrix:
     rows = [[STAR] * m for _ in range(m)]
     for i in range(m):
         rows[i][i] = ZERO if i < k else ONE
-    return PatternMatrix(tuple("".join(r) for r in rows))
+    return _shared(tuple("".join(r) for r in rows))

@@ -150,6 +150,14 @@ class TestCanonicalForm:
         assert gr.canonical_form(gr.graph_from_canonical_form(gr.canonical_form(G))) \
             == gr.canonical_form(G)
 
+    def test_labeling_relabels_onto_the_form(self):
+        rng = random.Random(12)
+        graphs = [G for n in range(7) for G in gr.enumerate_graphs(n)]
+        for G in graphs + [relabel(G, rng.sample(range(G.n), G.n)) for G in graphs]:
+            form, order = gr.canonical_labeling(G)
+            assert form == gr.canonical_form(G)
+            assert relabel(G, order) == gr.graph_from_canonical_form(form)
+
 
 def mask_orbits(n, perms):
     """Entry m is the least vertex mask in the orbit of m under the group
@@ -280,6 +288,27 @@ class TestDecks:
             for G, deck in zip(graphs(n), got):
                 assert deck == brute_deck(G, index)
 
+    @pytest.mark.parametrize("graphs, decks, split, top", [
+        (gr.enumerate_graphs, gr.graph_decks, False, 7),
+        (gr.enumerate_split_graphs, gr.split_graph_decks, True, 8),
+    ])
+    def test_orders_carry_each_parent_onto_the_graph(self, graphs, decks, split, top):
+        assert gr.deck_orders(0, split) == (b"",)
+        for n in range(1, top + 1):
+            parents = graphs(n - 1)
+            orders = gr.deck_orders(n, split)
+            assert len(orders) == len(graphs(n))
+            for G, deck, packed in zip(graphs(n), decks(n), orders):
+                assert len(packed) == n * len(deck)
+                for j, p in enumerate(deck):
+                    order = packed[j * n:(j + 1) * n]
+                    assert sorted(order) == list(range(n))
+                    new = order.index(n - 1)
+                    # the parent is G - new, its vertex order[k] at G's vertex k
+                    assert all(G.has_edge(u, v) == parents[p].has_edge(order[u], order[v])
+                               for u in range(n) for v in range(n)
+                               if new not in (u, v) and u != v)
+
     @pytest.mark.parametrize("test", [rec.is_bipartite, rec.is_chordal])
     def test_hereditary_classes_keep_their_decks(self, test):
         member = [[test(G) is not None for G in gr.enumerate_graphs(n)] for n in range(9)]
@@ -300,6 +329,10 @@ class TestDecks:
             gr.split_graph_decks(10)
         with pytest.raises(errors.BadParameters):
             gr.graph_decks(-1)
+        with pytest.raises(errors.TooLarge):
+            gr.deck_orders(9, False)
+        with pytest.raises(errors.TooLarge):
+            gr.deck_orders(10, True)
 
 
 class TestPickle:

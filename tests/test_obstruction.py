@@ -52,6 +52,31 @@ def oracle_report(M, class_name, n_max):
     return ob.EnumerationReport(M, class_name, n_max, obstructions)
 
 
+def classify_open_report(M, class_name, n_max):
+    """Enumeration that classifies every open candidate, whose whole deck
+    partitions, and keeps no witness to extend; unlike
+    enumerate_minimal_obstructions it also enumerates pairs a part pattern
+    decides."""
+    found = []
+    obstructed = set()
+    for n in range(1, n_max + 1):
+        now = set()
+        for i, G, deck in ob._CLASSES[class_name][2](n):
+            if not obstructed.isdisjoint(deck):
+                now.add(i)
+                continue
+            status, payload = ob.classify_minimality(G, M)
+            assert status != "not-minimal"
+            if status == "minimal":
+                now.add(i)
+                found.append((gr.canonical_form(G), G, payload))
+        obstructed = now
+    found.sort(key=lambda x: x[0])
+    obstructions = tuple((gr.to_graph6(G), ob.MinimalityCertificate(G, w))
+                         for _, G, w in found)
+    return ob.EnumerationReport(M, class_name, n_max, obstructions)
+
+
 class TestIsObstruction:
     def test_odd_cycle(self):
         assert sv.solve(gr.cycle(5), pat.make_kl_matrix(2, 0)) is None
@@ -177,6 +202,22 @@ class TestEnumeration:
         report = ob.enumerate_minimal_obstructions(M, class_name, n_max)
         assert ob.report_to_json(report) == ob.report_to_json(oracle_report(M, class_name, n_max))
 
+    @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
+    def test_matches_classifying_every_open_candidate(self, class_name):
+        n_max = 7 if class_name == "split" else 6
+        for M in vf._diag_star_free_matrices():
+            report = ob.enumerate_minimal_obstructions(M, class_name, n_max)
+            assert ob.report_to_json(report) == \
+                ob.report_to_json(classify_open_report(M, class_name, n_max))
+
+    def test_equal_witnesses_are_one_object(self):
+        report = ob.enumerate_minimal_obstructions(pat.parse_matrix("0**;*0*;**0"), "all", 7)
+        witnesses = [w for _, cert in report.obstructions for w in cert.witnesses]
+        first = {}
+        for w in witnesses:
+            assert first.setdefault(w.parts, w) is w
+        assert len(first) < len(witnesses)
+
     def test_only_open_candidates_are_classified(self, monkeypatch):
         # a candidate reaches classify_minimality only if no deletion is obstructed
         M = pat.make_kl_matrix(2, 0)
@@ -240,16 +281,17 @@ class TestClassPatterns:
                 assert M.star_blocks.get(diagonals) == star_pair(M, diagonals)
 
     def test_coverage(self, monkeypatch):
-        # a pair is decided iff enumeration classifies no candidate, not even K1
-        classified = []
-        monkeypatch.setattr(ob, "classify_minimality",
-                            lambda G, M: classified.append(G) or ("partitionable", None))
+        # a pair is decided iff enumeration draws no candidate, not even K1
+        drawn = []
+        for name, (limit, patterns, candidates) in ob._CLASSES.items():
+            monkeypatch.setitem(ob._CLASSES, name, (
+                limit, patterns, lambda n, c=candidates: (drawn.append(x) or x for x in c(n))))
 
         def decided(M, class_name):
-            classified.clear()
+            drawn.clear()
             ob.enumerate_minimal_obstructions(M, class_name, 1)
-            assert ob.decided_by_pattern(M, class_name) == (not classified)
-            return not classified
+            assert ob.decided_by_pattern(M, class_name) == (not drawn)
+            return not drawn
 
         matrices = vf._diag_star_free_matrices()
         covered = {c: {M for M in matrices if decided(M, c)} for c in ob.CLASS_LIMITS}

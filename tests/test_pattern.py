@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -122,6 +124,23 @@ class TestPredicates:
         M = pat.parse_matrix("0*;*1")
         assert M.masks is M.masks
         assert M.interchangeable is M.interchangeable
+
+    def test_equal_rows_share_one_live_matrix(self):
+        M = pat.parse_matrix("0*;*1")
+        assert pat.make_matrix(["0*", "*1"]) is M
+        assert pat.make_kl_matrix(1, 1) is M
+        assert pat.complement_matrix(pat.complement_matrix(M)) is M
+        assert pat.make_m_kt(3, 1) is pat.parse_matrix("0**;*01;*10")
+
+    def test_released_matrix_leaves_the_table(self):
+        key = ("0*10", "*0*1", "1*0*", "01*0")  # a matrix no other test makes
+        M = pat.make_matrix(key)
+        assert pat._LIVE[key] is M
+        ref = weakref.ref(M)
+        del M
+        gc.collect()
+        assert ref() is None
+        assert key not in pat._LIVE
 
 
 def groups(M):
