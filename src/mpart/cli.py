@@ -86,10 +86,18 @@ def _jobs(text: str) -> int:
     return value
 
 
+def _answered(args) -> None:
+    """Disarm the --timeout alarm: the answer is computed, and an alarm
+    while it is written or saved must not turn it into exit 3."""
+    if args.timeout:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+
 def cmd_solve(args) -> int:
     M = _load_matrix(args)
     G = _load_graph(args)
     witness = sv.solve(G, M)
+    _answered(args)
     if witness is None:
         print(json.dumps({"result": "no-partition"}))
         return 1
@@ -101,6 +109,7 @@ def cmd_check_minimal(args) -> int:
     M = _load_matrix(args)
     G = _load_graph(args)
     status, payload = ob.classify_minimality(G, M)
+    _answered(args)
     if status == "partitionable":
         print(json.dumps({"status": "partitionable", "witness": list(payload.parts)}))
     elif status == "not-minimal":
@@ -116,6 +125,7 @@ def cmd_check_minimal(args) -> int:
 def cmd_enumerate(args) -> int:
     M = _load_matrix(args)
     report = ob.enumerate_minimal_obstructions(M, args.class_name, args.max_n, jobs=args.jobs)
+    _answered(args)
     ob.save_catalog(report, args.data_dir, __version__)
     sys.stdout.write(ob.report_to_tsv(report) if args.output == "tsv"
                      else ob.report_to_json(report) + "\n")

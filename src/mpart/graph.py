@@ -338,13 +338,6 @@ def canonical_graph(G: Graph) -> Graph:
 # exhaustive non-isomorphic generation
 # ---------------------------------------------------------------------------
 
-def _check_order(n: int, limit: int, what: str) -> None:
-    if n > limit:
-        raise TooLarge(f"n={n} above the {what}enumeration limit {limit}")
-    if n < 0:
-        raise BadParameters("negative order")
-
-
 def _mask_images(perm, top):
     """Entry m is the image under perm of the vertex mask m, for m < top."""
     images = [0] * top
@@ -355,27 +348,43 @@ def _mask_images(perm, top):
 
 
 @cache
-def _augment(n: int, split: bool) -> tuple[
+def generation(n: int, split: bool) -> tuple[
         tuple[Graph, ...], tuple[tuple[int, ...], ...], tuple[bytes, ...]]:
-    """(graphs, decks, orders) on n vertices, all graphs or split graphs only.
+    """(graphs, decks, orders) on n vertices: every non-isomorphic graph, or
+    every split graph when split, sorted by canonical form.
+
+    Deck i is the sorted tuple of distinct indices into the graphs on n - 1
+    vertices of the isomorphism classes of G - v over the vertices v of the
+    i-th graph G; the graph on no vertex has the empty deck.  For the j-th
+    parent P of that deck, orders[i][j * n:(j + 1) * n] is the order o of a
+    child C of P (P plus the vertex n - 1) isomorphic to G: vertex k of G is
+    vertex o[k] of C, so u and v are adjacent in G iff o[u] and o[v] are in
+    C.  G minus the vertex k with o[k] = n - 1 is then P, each other k being
+    P's vertex o[k].
 
     Every graph of the class on n - 1 vertices (the parents, in their list
     order) gets a new vertex with each possible neighbourhood; split children
-    must pass the split test.  Both classes are hereditary, so every graph of
-    the class arises, and from exactly the parents isomorphic to its one-vertex
-    deletions: the parent indices recorded per canonical form are its deck.
-    An automorphism s of the parent makes the children with neighbourhoods
-    nb and s(nb) isomorphic, so only one neighbourhood per orbit of the
-    group generated by `_automorphisms(parent)` is tried.  The deck records
-    each parent once per class, so any group of automorphisms gives the
-    same output; a larger one only tries fewer children.
+    must pass the split test (Hammer and Simeone's degree sequence rule).
+    Both classes are hereditary, so every graph of the class arises, and
+    from exactly the parents isomorphic to its one-vertex deletions: the
+    parent indices recorded per canonical form are its deck.  An
+    automorphism s of the parent makes the children with neighbourhoods nb
+    and s(nb) isomorphic, so only one neighbourhood per orbit of the group
+    generated by `_automorphisms(parent)` is tried.  The deck records each
+    parent once per class, so any group of automorphisms gives the same
+    output; a larger one only tries fewer children.
 
     Each child gets one search, `canonical_labeling`.  Per graph and deck
     parent, the order of the first child of that parent reaching the graph
-    is kept, n bytes, and the graph's orders are packed into one bytes
-    object.  Parents are taken in list order, so the deck is in parent
-    order and its j-th entry lines up with the j-th n bytes.
+    is kept, and the graph's orders are packed into one bytes object.
+    Parents are taken in list order, so the deck is in parent order and its
+    j-th entry lines up with the j-th n bytes.
     """
+    limit = MAX_ENUM_SPLIT if split else MAX_ENUM_ALL
+    if n > limit:
+        raise TooLarge(f"n={n} above the {'split ' if split else ''}enumeration limit {limit}")
+    if n < 0:
+        raise BadParameters("negative order")
     if n == 0:
         return (Graph(0, ()),), ((),), (b"",)
     if split:
@@ -384,7 +393,7 @@ def _augment(n: int, split: bool) -> tuple[
     # form -> [its packed orders, then its deck]: one list per graph, so
     # the orders need no container of their own while forms are collected
     decks: dict[bytes, list] = {}
-    for p, parent in enumerate(_augment(n - 1, split)[0]):
+    for p, parent in enumerate(generation(n - 1, split)[0]):
         base = parent.adj
         images = [_mask_images(perm, top) for perm in _automorphisms(parent)]
         seen = bytearray(top)
@@ -418,55 +427,15 @@ def _augment(n: int, split: bool) -> tuple[
 
 
 def enumerate_graphs(n: int):
-    """All non-isomorphic graphs on n vertices, sorted by canonical form.
-
-    Built by one-vertex augmentation of the (n-1)-vertex representatives
-    with canonical-form deduplication; `graph_decks(n)` holds what the
-    augmentation learns about each graph's one-vertex deletions.
-    """
-    _check_order(n, MAX_ENUM_ALL, "")
-    return list(_augment(n, False)[0])
+    """All non-isomorphic graphs on n vertices, sorted by canonical form: a
+    list of `generation(n, False)`'s graphs."""
+    return list(generation(n, False)[0])
 
 
 def enumerate_split_graphs(n: int):
-    """All non-isomorphic split graphs on n vertices, sorted by canonical form.
-
-    Built like `enumerate_graphs`, from the split graphs on n - 1 vertices,
-    keeping the children that pass the split test (Hammer and Simeone's degree
-    sequence rule); `split_graph_decks(n)` holds their decks.
-    """
-    _check_order(n, MAX_ENUM_SPLIT, "split ")
-    return list(_augment(n, True)[0])
-
-
-def graph_decks(n: int) -> tuple[tuple[int, ...], ...]:
-    """Decks of `enumerate_graphs(n)`: entry i is the sorted tuple of distinct
-    indices into `enumerate_graphs(n - 1)` of the isomorphism classes of
-    G - v over the vertices v of the i-th graph G.  The graph on no vertex has
-    the empty deck."""
-    _check_order(n, MAX_ENUM_ALL, "")
-    return _augment(n, False)[1]
-
-
-def split_graph_decks(n: int) -> tuple[tuple[int, ...], ...]:
-    """Decks of `enumerate_split_graphs(n)`, as `graph_decks` but indexing
-    `enumerate_split_graphs(n - 1)` (every G - v of a split graph is split)."""
-    _check_order(n, MAX_ENUM_SPLIT, "split ")
-    return _augment(n, True)[1]
-
-
-def deck_orders(n: int, split: bool) -> tuple[bytes, ...]:
-    """Labelings behind `graph_decks(n)`, or `split_graph_decks(n)` when
-    split.  For the i-th graph G and the j-th parent P of its deck, entry i
-    holds at [j * n:(j + 1) * n] the order o of a child C of P (P plus the
-    vertex n - 1) isomorphic to G: vertex k of G is vertex o[k] of C, so u
-    and v are adjacent in G iff o[u] and o[v] are in C.  G minus the vertex
-    k with o[k] = n - 1 is then P, each other k being P's vertex o[k]."""
-    if split:
-        _check_order(n, MAX_ENUM_SPLIT, "split ")
-    else:
-        _check_order(n, MAX_ENUM_ALL, "")
-    return _augment(n, split)[2]
+    """All non-isomorphic split graphs on n vertices, sorted by canonical
+    form: a list of `generation(n, True)`'s graphs."""
+    return list(generation(n, True)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,11 @@ from .graph import (
     Graph,
     canonical_form,
     complement,
-    deck_orders,
     delete_vertex,
     enumerate_graphs,
     enumerate_split_graphs,
     from_edges,
-    graph_decks,
-    split_graph_decks,
+    generation,
     to_graph6,
 )
 from .pattern import STAR, PatternMatrix, make_m_kt
@@ -52,12 +50,18 @@ class EnumerationReport:
     class_name: str
     n_max: int
     obstructions: tuple[tuple[str, MinimalityCertificate], ...]
-    note: str = ""
 
     @property
     def counts(self) -> dict[int, int]:
         """Number of obstructions per order."""
         return dict(Counter(cert.graph.n for _, cert in self.obstructions))
+
+    @property
+    def note(self) -> str:
+        """Why the report is empty when the matrix has a diagonal star, or ""."""
+        if STAR in self.matrix.star_blocks:
+            return "diagonal star: every graph fits in the unrestricted part, no obstructions"
+        return ""
 
 
 def classify_minimality(G: Graph, M: PatternMatrix):
@@ -78,39 +82,57 @@ def classify_minimality(G: Graph, M: PatternMatrix):
 # exhaustive enumeration per class
 # ---------------------------------------------------------------------------
 
-@cache
-def _member_indices(class_name: str, n: int) -> tuple[int, ...]:
-    """Indices into enumerate_graphs(n) of the bipartite or chordal graphs."""
-    test = is_bipartite if class_name == "bipartite" else is_chordal
-    return tuple(i for i, G in enumerate(enumerate_graphs(n)) if test(G) is not None)
-
-
-def _members(class_name: str, n: int):
-    graphs, decks = enumerate_graphs(n), graph_decks(n)
-    return ((i, graphs[i], decks[i]) for i in _member_indices(class_name, n))
-
-
 # class name -> (largest order, part patterns as PatternMatrix.star_blocks
-# names them, candidates on n vertices as (index, graph, deck)).  Every graph
-# has the pattern "*"; split, bipartite and cobipartite graphs split into an
-# independent set and a clique, two independent sets, or two cliques.  A deck
-# indexes the candidates' own index space at order n - 1, so every class must
-# be hereditary: each G - v of a member is a member.  The filtered classes use
-# the indices and decks of all graphs; complementing the graph maps bipartite
-# onto cobipartite and keeps the deck (the complement of G - v is the
-# complement of G, minus v).  The rules call the generators through this
-# module's names, so a wrapper put there sees every call.
+# names them, split: whether the candidates come from the split graphs'
+# generation rather than all graphs', member test or None for every graph
+# generated, complemented).  Every graph has the pattern "*"; split,
+# bipartite and cobipartite graphs split into an independent set and a
+# clique, two independent sets, or two cliques.  A deck indexes the
+# generation's own index space at order n - 1, so every class must be
+# hereditary: each G - v of a member is a member.  Complementing maps
+# bipartite onto cobipartite and keeps the deck (the complement of G - v is
+# the complement of G, minus v).  The tests and the generators are called
+# through this module's names, so a wrapper put there sees every call.
 _CLASSES = {
-    "all": (MAX_ENUM_ALL, (STAR,),
-            lambda n: zip(count(), enumerate_graphs(n), graph_decks(n))),
-    "split": (MAX_ENUM_SPLIT, (STAR, "01"),
-              lambda n: zip(count(), enumerate_split_graphs(n), split_graph_decks(n))),
-    "bipartite": (MAX_ENUM_ALL, (STAR, "00"), lambda n: _members("bipartite", n)),
-    "cobipartite": (MAX_ENUM_ALL, (STAR, "11"),
-                    lambda n: ((i, complement(G), d) for i, G, d in _members("bipartite", n))),
-    "chordal": (MAX_ENUM_ALL, (STAR,), lambda n: _members("chordal", n)),
+    "all": (MAX_ENUM_ALL, (STAR,), False, None, False),
+    "split": (MAX_ENUM_SPLIT, (STAR, "01"), True, None, False),
+    "bipartite": (MAX_ENUM_ALL, (STAR, "00"), False, lambda G: is_bipartite(G), False),
+    "cobipartite": (MAX_ENUM_ALL, (STAR, "11"), False, lambda G: is_bipartite(G), True),
+    "chordal": (MAX_ENUM_ALL, (STAR,), False, lambda G: is_chordal(G), False),
 }
-CLASS_LIMITS = {name: limit for name, (limit, _, _) in _CLASSES.items()}
+CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
+
+
+def _generated(n: int, split: bool) -> list[Graph]:
+    """The generator's graphs on n vertices.  Callers take them before
+    `generation`'s decks and orders, so that a wrapper on the generator
+    times a cold generation."""
+    return enumerate_split_graphs(n) if split else enumerate_graphs(n)
+
+
+@cache
+def _members(class_name: str, n: int) -> tuple[tuple[int, Graph, tuple[int, ...]], ...]:
+    """The filtered class's candidates on n vertices, as `_candidates`
+    yields them; complemented members are sorted once by their own
+    canonical form."""
+    _, _, split, test, complemented = _CLASSES[class_name]
+    graphs = _generated(n, split)
+    decks = generation(n, split)[1]
+    members = [(i, G, decks[i]) for i, G in enumerate(graphs) if test(G) is not None]
+    if complemented:
+        members = sorted(((i, complement(G), deck) for i, G, deck in members),
+                         key=lambda member: canonical_form(member[1]))
+    return tuple(members)
+
+
+def _candidates(class_name: str, n: int):
+    """The class's graphs on n vertices as (index, graph, deck), in the
+    canonical-form order of the graph given; index and deck are the
+    generation's."""
+    _, _, split, test, _ = _CLASSES[class_name]
+    if test is not None:
+        return _members(class_name, n)
+    return zip(count(), _generated(n, split), generation(n, split)[1])
 
 
 def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
@@ -123,7 +145,7 @@ def _extend(G: Graph, deck, orders: bytes, partitioned: dict[int, bytes], M: Pat
     """Parts of G, one byte per vertex, from the first deck parent whose
     parts extend to the vertex the parent lacks, or None when none does.
 
-    The parent's parts carry over through the order `deck_orders` keeps for
+    The parent's parts carry over through the order `generation` keeps for
     it; the new vertex takes the lowest part whose rows of M.masks admit the
     parts of its neighbours and of its non-neighbours."""
     n = G.n
@@ -171,22 +193,20 @@ def enumerate_minimal_obstructions(
     every open candidate: an extended candidate is partitionable, which
     emits nothing; every other one is classified as before; and a minimal
     obstruction's witnesses come from `solve(delete_vertex(G, v))`, never
-    from kept parts.  Equal witnesses of one report are one object.  jobs
-    is accepted for compatibility and ignored.
+    from kept parts.  Candidates arrive by order, each order in the
+    canonical-form order of the graph given (`_candidates`), and so do the
+    obstructions: the report needs no sort.  Equal witnesses of one report
+    are one object.  jobs is accepted for compatibility and ignored.
     """
     if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
-    limit, _, candidates = _CLASSES[class_name]
+    limit, _, split, _, _ = _CLASSES[class_name]
     if n_max > limit:
         raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
     if n_max < 0:
         raise BadParameters(f"n_max={n_max} is negative")
     if decided_by_pattern(M, class_name):
-        return EnumerationReport(
-            M, class_name, n_max, (),
-            note="diagonal star: every graph fits in the unrestricted part, no obstructions"
-            if STAR in M.star_blocks else "",
-        )
+        return EnumerationReport(M, class_name, n_max, ())
     found = []
     # at order n - 1: the obstructed candidates' indices, and the parts of
     # the others by index.  The graph on no vertex partitions.
@@ -195,11 +215,11 @@ def enumerate_minimal_obstructions(
     for n in range(1, n_max + 1):
         now: set[int] = set()
         parts_now: dict[int, bytes] = {}
-        group = candidates(n)  # first, so the generators, not deck_orders, build the order
-        # the orders share the decks' index space: split graphs' in split,
-        # all graphs' in the other classes.  Only open candidates read them,
-        # so the obstructed ones cost no extra memory traffic.
-        orders = deck_orders(n, class_name == "split")
+        group = _candidates(class_name, n)  # before the orders: see _generated
+        # the orders share the candidates' index space.  Only open
+        # candidates read them, so the obstructed ones cost no extra memory
+        # traffic.
+        orders = generation(n, split)[2]
         for i, G, deck in group:
             if not obstructed.isdisjoint(deck):
                 now.add(i)
@@ -212,17 +232,16 @@ def enumerate_minimal_obstructions(
                         f"{to_graph6(G)} has an obstructed deletion missing from its deck")
                 if status == "minimal":
                     now.add(i)
-                    found.append((canonical_form(G), G, payload))
+                    found.append((G, payload))
                     continue
                 parts = bytes(payload.parts)
             if n < n_max:  # no order reads the last one's parts
                 parts_now[i] = parts
         obstructed, partitioned = now, parts_now
-    found.sort(key=lambda x: x[0])
     shared: dict[tuple[int, ...], PartAssignment] = {}
     obstructions = tuple(
         (to_graph6(G), MinimalityCertificate(G, tuple(shared.setdefault(w.parts, w) for w in ws)))
-        for _, G, ws in found)
+        for G, ws in found)
     return EnumerationReport(M, class_name, n_max, obstructions)
 
 

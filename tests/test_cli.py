@@ -4,10 +4,12 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from mpart import graph as gr
+from mpart import obstruction as ob
 from mpart import pattern as pat
 from mpart import solver as sv
 from mpart import verify as vf
@@ -254,6 +256,23 @@ class TestTimeout:
             capture_output=True, text=True)
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["result"] == "indeterminate"
+
+    def test_alarm_after_the_answer_keeps_it(self, tmp_path, monkeypatch):
+        # the alarm falls while the catalog is written: the finished work
+        # is reported in full with exit 0, not as "indeterminate"
+        M = pat.parse_matrix("0*;*0")
+        want = ob.report_to_json(ob.enumerate_minimal_obstructions(M, "all", 5)) + "\n"
+        save = ob.save_catalog
+
+        def slow_save(*args):
+            time.sleep(0.5)
+            return save(*args)
+
+        monkeypatch.setattr(ob, "save_catalog", slow_save)
+        rc, out = run_cli("enumerate", "--matrix", "0*;*0", "--class", "all", "--max-n", "5",
+                          "--timeout", "0.2", "--data-dir", str(tmp_path))
+        assert (rc, out) == (0, want)
+        assert (tmp_path / "0s-s0" / "all" / "manifest.json").is_file()
 
     @pytest.mark.parametrize("value", ["-1", "nan", "1e10", "1e300"])
     def test_bad_value_exit_2(self, value, capsys):

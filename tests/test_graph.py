@@ -269,6 +269,14 @@ class TestEnumeration:
                 assert rec.split_partition(G) is not None
 
 
+def graph_decks(n):
+    return gr.generation(n, False)[1]
+
+
+def split_graph_decks(n):
+    return gr.generation(n, True)[1]
+
+
 def brute_deck(G, index):
     """Sorted distinct list indices of the classes of G - v, from scratch."""
     return tuple(sorted({index[gr.canonical_form(gr.delete_vertex(G, v))] for v in range(G.n)}))
@@ -276,8 +284,8 @@ def brute_deck(G, index):
 
 class TestDecks:
     @pytest.mark.parametrize("graphs, decks, top", [
-        (gr.enumerate_graphs, gr.graph_decks, 7),
-        (gr.enumerate_split_graphs, gr.split_graph_decks, 8),
+        (gr.enumerate_graphs, graph_decks, 7),
+        (gr.enumerate_split_graphs, split_graph_decks, 8),
     ])
     def test_against_brute_force(self, graphs, decks, top):
         assert decks(0) == ((),)
@@ -289,14 +297,14 @@ class TestDecks:
                 assert deck == brute_deck(G, index)
 
     @pytest.mark.parametrize("graphs, decks, split, top", [
-        (gr.enumerate_graphs, gr.graph_decks, False, 7),
-        (gr.enumerate_split_graphs, gr.split_graph_decks, True, 8),
+        (gr.enumerate_graphs, graph_decks, False, 7),
+        (gr.enumerate_split_graphs, split_graph_decks, True, 8),
     ])
     def test_orders_carry_each_parent_onto_the_graph(self, graphs, decks, split, top):
-        assert gr.deck_orders(0, split) == (b"",)
+        assert gr.generation(0, split)[2] == (b"",)
         for n in range(1, top + 1):
             parents = graphs(n - 1)
-            orders = gr.deck_orders(n, split)
+            orders = gr.generation(n, split)[2]
             assert len(orders) == len(graphs(n))
             for G, deck, packed in zip(graphs(n), decks(n), orders):
                 assert len(packed) == n * len(deck)
@@ -313,31 +321,29 @@ class TestDecks:
     def test_hereditary_classes_keep_their_decks(self, test):
         member = [[test(G) is not None for G in gr.enumerate_graphs(n)] for n in range(9)]
         for n in range(1, 9):
-            for i, deck in enumerate(gr.graph_decks(n)):
+            for i, deck in enumerate(graph_decks(n)):
                 if member[n][i]:
                     assert all(member[n - 1][j] for j in deck)
 
     def test_immutable(self):
-        decks = gr.split_graph_decks(5)
+        decks = split_graph_decks(5)
         assert isinstance(decks, tuple)
         assert all(isinstance(deck, tuple) for deck in decks)
 
     def test_bad_order(self):
         with pytest.raises(errors.TooLarge):
-            gr.graph_decks(9)
+            gr.generation(9, False)
         with pytest.raises(errors.TooLarge):
-            gr.split_graph_decks(10)
+            gr.generation(10, True)
         with pytest.raises(errors.BadParameters):
-            gr.graph_decks(-1)
-        with pytest.raises(errors.TooLarge):
-            gr.deck_orders(9, False)
-        with pytest.raises(errors.TooLarge):
-            gr.deck_orders(10, True)
+            gr.generation(-1, False)
+        with pytest.raises(errors.BadParameters):
+            gr.generation(-1, True)
 
 
 class TestPickle:
     def test_round_trip(self):
-        # the enumeration pool pickles graphs; Graph keeps no instance dict
+        # Graph keeps no instance dict, and pickles to an equal graph
         G = gr.cycle(5)
         H = pickle.loads(pickle.dumps(G))
         assert H == G and hash(H) == hash(G)

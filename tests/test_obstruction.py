@@ -61,7 +61,7 @@ def classify_open_report(M, class_name, n_max):
     obstructed = set()
     for n in range(1, n_max + 1):
         now = set()
-        for i, G, deck in ob._CLASSES[class_name][2](n):
+        for i, G, deck in ob._candidates(class_name, n):
             if not obstructed.isdisjoint(deck):
                 now.add(i)
                 continue
@@ -237,9 +237,36 @@ class TestEnumeration:
     def test_empty_decks_raise_internal_error(self, monkeypatch):
         # with no decks every candidate is open, and K3 + K1 is obstructed
         # but not minimal under 2-colouring
-        monkeypatch.setattr(ob, "graph_decks", lambda n: ((),) * len(gr.enumerate_graphs(n)))
+        generation = gr.generation
+
+        def deckless(n, split):
+            graphs, decks, orders = generation(n, split)
+            return graphs, ((),) * len(decks), orders
+
+        monkeypatch.setattr(ob, "generation", deckless)
         with pytest.raises(errors.InternalError):
             ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 4)
+
+    @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
+    def test_candidates_arrive_in_catalog_order(self, class_name, monkeypatch):
+        # the graphs of each order as enumeration draws them, at the limit
+        # under "0", which no part pattern decides: their canonical forms
+        # strictly increase (in cobipartite, those of the complements it
+        # draws), so the obstructions arrive in catalog order unsorted
+        drawn = {}
+        candidates = ob._candidates
+
+        def recording(name, n):
+            graphs = drawn.setdefault(n, [])
+            return (graphs.append(x[1]) or x for x in candidates(name, n))
+
+        monkeypatch.setattr(ob, "_candidates", recording)
+        limit = ob.CLASS_LIMITS[class_name]
+        ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), class_name, limit)
+        assert sorted(drawn) == list(range(1, limit + 1))
+        for n, graphs in drawn.items():
+            forms = [gr.canonical_form(G) for G in graphs]
+            assert forms and all(a < b for a, b in zip(forms, forms[1:])), n
 
     def test_negative_n_max(self):
         with pytest.raises(errors.BadParameters):
@@ -283,9 +310,9 @@ class TestClassPatterns:
     def test_coverage(self, monkeypatch):
         # a pair is decided iff enumeration draws no candidate, not even K1
         drawn = []
-        for name, (limit, patterns, candidates) in ob._CLASSES.items():
-            monkeypatch.setitem(ob._CLASSES, name, (
-                limit, patterns, lambda n, c=candidates: (drawn.append(x) or x for x in c(n))))
+        candidates = ob._candidates
+        monkeypatch.setattr(ob, "_candidates", lambda class_name, n: (
+            drawn.append(x) or x for x in candidates(class_name, n)))
 
         def decided(M, class_name):
             drawn.clear()

@@ -80,22 +80,24 @@ def _forms_and_decks(graphs, decks, top):
 
 
 def test_canonical_order_and_decks_of_all_graphs():
-    lines = _forms_and_decks(gr.enumerate_graphs, gr.graph_decks, 7)
+    lines = _forms_and_decks(gr.enumerate_graphs, lambda n: gr.generation(n, False)[1], 7)
     assert _digest(lines) == "f1ba83c23d5b7f817c89582d51cb47b494a91d8af2fe37060d1b89bf47ba0a30"
 
 
 def test_canonical_order_and_decks_of_split_graphs():
-    lines = _forms_and_decks(gr.enumerate_split_graphs, gr.split_graph_decks, 8)
+    lines = _forms_and_decks(gr.enumerate_split_graphs, lambda n: gr.generation(n, True)[1], 8)
     assert _digest(lines) == "da1683a0bf99338e63974f37c5c9b98d160bc8756244d4d16e247c77aaf63b76"
 
 
 def test_canonical_order_and_decks_of_all_graphs_at_the_limit():
-    lines = _forms_and_decks(gr.enumerate_graphs, gr.graph_decks, gr.MAX_ENUM_ALL)
+    lines = _forms_and_decks(gr.enumerate_graphs, lambda n: gr.generation(n, False)[1],
+                             gr.MAX_ENUM_ALL)
     assert _digest(lines) == "493dc5e3bdbe17a4d72c7da96fb953160f98d2e8195ab717f9d2331bf9e5036a"
 
 
 def test_canonical_order_and_decks_of_split_graphs_at_the_limit():
-    lines = _forms_and_decks(gr.enumerate_split_graphs, gr.split_graph_decks, gr.MAX_ENUM_SPLIT)
+    lines = _forms_and_decks(gr.enumerate_split_graphs, lambda n: gr.generation(n, True)[1],
+                             gr.MAX_ENUM_SPLIT)
     assert _digest(lines) == "8094439b5be9cdd5b8461e0a63baad0e25e60b42c3191268a64d76724a366250"
 
 
