@@ -5,12 +5,14 @@ closed-form size bounds."""
 from __future__ import annotations
 
 import json
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, count
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
+from sys import intern
 
 from .errors import BadParameters, InternalError, TooLarge
 from .graph import (
@@ -85,54 +87,53 @@ def classify_minimality(G: Graph, M: PatternMatrix):
 # class name -> (largest order, part patterns as PatternMatrix.star_blocks
 # names them, split: whether the candidates come from the split graphs'
 # generation rather than all graphs', member test or None for every graph
-# generated, complemented).  Every graph has the pattern "*"; split,
-# bipartite and cobipartite graphs split into an independent set and a
-# clique, two independent sets, or two cliques.  A deck indexes the
-# generation's own index space at order n - 1, so every class must be
-# hereditary: each G - v of a member is a member.  Complementing maps
-# bipartite onto cobipartite and keeps the deck (the complement of G - v is
-# the complement of G, minus v).  The tests and the generators are called
-# through this module's names, so a wrapper put there sees every call.
+# generated, the class whose candidates it complements or None).  Every
+# graph has the pattern "*"; split, bipartite and cobipartite graphs split
+# into an independent set and a clique, two independent sets, or two
+# cliques.  A deck indexes the generation's own index space at order n - 1,
+# so every class must be hereditary: each G - v of a member is a member.
+# Complementing maps bipartite onto cobipartite and keeps the deck and its
+# index space (the complement of G - v is the complement of G, minus v), so
+# cobipartite takes bipartite's members rather than testing every graph
+# again.  The tests and the generators are called through this module's
+# names, so a wrapper put there sees every call.
 _CLASSES = {
-    "all": (MAX_ENUM_ALL, (STAR,), False, None, False),
-    "split": (MAX_ENUM_SPLIT, (STAR, "01"), True, None, False),
-    "bipartite": (MAX_ENUM_ALL, (STAR, "00"), False, lambda G: is_bipartite(G), False),
-    "cobipartite": (MAX_ENUM_ALL, (STAR, "11"), False, lambda G: is_bipartite(G), True),
-    "chordal": (MAX_ENUM_ALL, (STAR,), False, lambda G: is_chordal(G), False),
+    "all": (MAX_ENUM_ALL, (STAR,), False, None, None),
+    "split": (MAX_ENUM_SPLIT, (STAR, "01"), True, None, None),
+    "bipartite": (MAX_ENUM_ALL, (STAR, "00"), False, lambda G: is_bipartite(G), None),
+    "cobipartite": (MAX_ENUM_ALL, (STAR, "11"), False, None, "bipartite"),
+    "chordal": (MAX_ENUM_ALL, (STAR,), False, lambda G: is_chordal(G), None),
 }
 CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
 
 
-def _generated(n: int, split: bool) -> list[Graph]:
-    """The generator's graphs on n vertices.  Callers take them before
-    `generation`'s decks and orders, so that a wrapper on the generator
-    times a cold generation."""
-    return enumerate_split_graphs(n) if split else enumerate_graphs(n)
-
-
 @cache
-def _members(class_name: str, n: int) -> tuple[tuple[int, Graph, tuple[int, ...]], ...]:
-    """The filtered class's candidates on n vertices, as `_candidates`
-    yields them; complemented members are sorted once by their own
-    canonical form."""
-    _, _, split, test, complemented = _CLASSES[class_name]
-    graphs = _generated(n, split)
-    decks = generation(n, split)[1]
-    members = [(i, G, decks[i]) for i, G in enumerate(graphs) if test(G) is not None]
-    if complemented:
-        members = sorted(((i, complement(G), deck) for i, G, deck in members),
-                         key=lambda member: canonical_form(member[1]))
-    return tuple(members)
-
-
 def _candidates(class_name: str, n: int):
-    """The class's graphs on n vertices as (index, graph, deck), in the
-    canonical-form order of the graph given; index and deck are the
-    generation's."""
-    _, _, split, test, _ = _CLASSES[class_name]
-    if test is not None:
-        return _members(class_name, n)
-    return zip(count(), _generated(n, split), generation(n, split)[1])
+    """(candidates, children) of the class on n >= 1 vertices.
+
+    candidates is a tuple of (index, graph, deck) in the canonical-form
+    order of the graph given; index and deck are the generation's, and
+    complemented members are sorted once by their own canonical form.
+    children[p], for each index p of the generation on n - 1 vertices, is
+    the sorted tuple of the positions in candidates of those whose deck
+    holds p: the inverse of the decks."""
+    _, _, split, test, complement_of = _CLASSES[class_name]
+    if complement_of is not None:
+        members = sorted(
+            ((i, complement(G), deck) for i, G, deck in _candidates(complement_of, n)[0]),
+            key=lambda member: canonical_form(member[1]))
+    else:
+        # the generator before `generation`, so that a wrapper on it times
+        # a cold generation
+        graphs = enumerate_split_graphs(n) if split else enumerate_graphs(n)
+        decks = generation(n, split)[1]
+        members = [(i, G, decks[i]) for i, G in enumerate(graphs)
+                   if test is None or test(G) is not None]
+    children = [[] for _ in generation(n - 1, split)[0]]
+    for pos, (_, _, deck) in enumerate(members):
+        for p in deck:
+            children[p].append(pos)
+    return tuple(members), tuple(map(tuple, children))
 
 
 def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
@@ -169,6 +170,17 @@ def _extend(G: Graph, deck, orders: bytes, partitioned: dict[int, bytes], M: Pat
     return None
 
 
+# equal witnesses are one object while anything holds them; the table holds
+# them weakly, like pattern._LIVE, so a witness nothing else holds is freed
+_WITNESSES: weakref.WeakValueDictionary[tuple[int, ...], PartAssignment] = \
+    weakref.WeakValueDictionary()
+
+
+def _shared(w: PartAssignment) -> PartAssignment:
+    """The live witness with w's parts: w itself if there is none."""
+    return _WITNESSES.setdefault(w.parts, w)
+
+
 def enumerate_minimal_obstructions(
     M: PatternMatrix, class_name: str, n_max: int, jobs: int = 1
 ) -> EnumerationReport:
@@ -182,21 +194,29 @@ def enumerate_minimal_obstructions(
     and the 0/1, 0/0 and 1/1 star pairs in split, bipartite and
     cobipartite.
 
-    Otherwise, partitionability is hereditary, so a candidate with an
-    obstructed graph in its deck is obstructed and not minimal, and needs
-    no solve.  The other candidates are open: their whole deck partitions.
-    Each partitionable candidate's parts are kept for the next order, and
-    an open candidate first tries to extend a deck parent's parts by one
+    Otherwise the walk goes up one order at a time, from the partitionable
+    candidates of order n - 1 to their children (`_candidates`'s inverse of
+    the decks).  A candidate is reached once per partitionable graph in its
+    deck, and a deck holds distinct indices, so it is open, every deletion
+    partitioning, exactly when it is reached as often as its deck is long.
+    Any other candidate, reached less often or never (a deck on n >= 1
+    vertices is not empty), has a deletion that is a member of order n - 1
+    and did not partition.  Partitionability is hereditary, so that
+    candidate is obstructed and not minimal, and it is not visited.
+
+    An open candidate first tries to extend a deck parent's parts by one
     vertex (`_extend`).  Only when none extends is it classified by
-    `classify_minimality`, in candidate order in the calling process; it is
-    then partitionable or minimal.  The outputs are those of classifying
-    every open candidate: an extended candidate is partitionable, which
-    emits nothing; every other one is classified as before; and a minimal
-    obstruction's witnesses come from `solve(delete_vertex(G, v))`, never
-    from kept parts.  Candidates arrive by order, each order in the
-    canonical-form order of the graph given (`_candidates`), and so do the
-    obstructions: the report needs no sort.  Equal witnesses of one report
-    are one object.  jobs is accepted for compatibility and ignored.
+    `classify_minimality`; it is then partitionable or minimal.  The parts
+    of the partitionable candidates are the only state kept for the next
+    order.  The outputs are those of classifying every open candidate: an
+    extended candidate is partitionable, which emits nothing; every other
+    one is classified as before; and a minimal obstruction's witnesses come
+    from `solve(delete_vertex(G, v))`, never from kept parts.  Open
+    candidates are visited by position, in the canonical-form order of the
+    graph given, so the obstructions arrive in catalog order and the report
+    needs no sort.  Equal witnesses are one object while anything holds
+    them, across reports too (`_shared`), and graph6 strings are interned.
+    jobs is accepted for compatibility and ignored.
     """
     if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
@@ -208,22 +228,18 @@ def enumerate_minimal_obstructions(
     if decided_by_pattern(M, class_name):
         return EnumerationReport(M, class_name, n_max, ())
     found = []
-    # at order n - 1: the obstructed candidates' indices, and the parts of
-    # the others by index.  The graph on no vertex partitions.
-    obstructed: set[int] = set()
+    # the parts of the partitionable candidates of order n - 1 by index;
+    # the graph on no vertex partitions
     partitioned = {0: b""}
     for n in range(1, n_max + 1):
-        now: set[int] = set()
-        parts_now: dict[int, bytes] = {}
-        group = _candidates(class_name, n)  # before the orders: see _generated
-        # the orders share the candidates' index space.  Only open
-        # candidates read them, so the obstructed ones cost no extra memory
-        # traffic.
+        candidates, children = _candidates(class_name, n)
         orders = generation(n, split)[2]
-        for i, G, deck in group:
-            if not obstructed.isdisjoint(deck):
-                now.add(i)
-                continue
+        # position -> the number of partitionable graphs in its deck; the
+        # open candidates have them all, the others an obstructed deletion
+        reached = Counter(chain.from_iterable(map(children.__getitem__, partitioned)))
+        parts_now: dict[int, bytes] = {}
+        for pos in sorted([pos for pos, k in reached.items() if k == len(candidates[pos][2])]):
+            i, G, deck = candidates[pos]
             parts = _extend(G, deck, orders[i], partitioned, M)
             if parts is None:
                 status, payload = classify_minimality(G, M)
@@ -231,16 +247,14 @@ def enumerate_minimal_obstructions(
                     raise InternalError(
                         f"{to_graph6(G)} has an obstructed deletion missing from its deck")
                 if status == "minimal":
-                    now.add(i)
                     found.append((G, payload))
                     continue
                 parts = bytes(payload.parts)
             if n < n_max:  # no order reads the last one's parts
                 parts_now[i] = parts
-        obstructed, partitioned = now, parts_now
-    shared: dict[tuple[int, ...], PartAssignment] = {}
+        partitioned = parts_now
     obstructions = tuple(
-        (to_graph6(G), MinimalityCertificate(G, tuple(shared.setdefault(w.parts, w) for w in ws)))
+        (intern(to_graph6(G)), MinimalityCertificate(G, tuple(map(_shared, ws))))
         for G, ws in found)
     return EnumerationReport(M, class_name, n_max, obstructions)
 

@@ -61,7 +61,7 @@ def classify_open_report(M, class_name, n_max):
     obstructed = set()
     for n in range(1, n_max + 1):
         now = set()
-        for i, G, deck in ob._candidates(class_name, n):
+        for i, G, deck in ob._candidates(class_name, n)[0]:
             if not obstructed.isdisjoint(deck):
                 now.add(i)
                 continue
@@ -234,31 +234,47 @@ class TestEnumeration:
         for G in seen:
             assert all(sv.solve(gr.delete_vertex(G, v), M) is not None for v in range(G.n))
 
-    def test_empty_decks_raise_internal_error(self, monkeypatch):
-        # with no decks every candidate is open, and K3 + K1 is obstructed
-        # but not minimal under 2-colouring
-        generation = gr.generation
+    def test_a_deck_missing_an_obstructed_deletion_raises_internal_error(self, monkeypatch):
+        # K3 + K1 is obstructed but not minimal under 2-colouring.  With K3,
+        # the last entry, dropped from its deck, the one graph left there,
+        # K2 + K1, partitions, so the walk reaches K3 + K1 as open (the
+        # orders still line up with the deck), no witness extends, and
+        # classify_minimality finds the obstructed deletion
+        k3 = [gr.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
+            gr.canonical_form(gr.complete(3)))
+        k3_k1 = gr.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1)))
+        candidates = ob._candidates
 
-        def deckless(n, split):
-            graphs, decks, orders = generation(n, split)
-            return graphs, ((),) * len(decks), orders
+        def incomplete(class_name, n):
+            members, children = candidates(class_name, n)
+            if n == 4:
+                patched = []
+                for i, G, deck in members:
+                    if gr.canonical_form(G) == k3_k1:
+                        assert len(deck) == 2 and deck[-1] == k3
+                        deck = deck[:-1]
+                    patched.append((i, G, deck))
+                members = tuple(patched)
+            return members, children
 
-        monkeypatch.setattr(ob, "generation", deckless)
+        monkeypatch.setattr(ob, "_candidates", incomplete)
         with pytest.raises(errors.InternalError):
             ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 4)
 
     @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
     def test_candidates_arrive_in_catalog_order(self, class_name, monkeypatch):
-        # the graphs of each order as enumeration draws them, at the limit
+        # the graphs of each order as enumeration takes them, at the limit
         # under "0", which no part pattern decides: their canonical forms
         # strictly increase (in cobipartite, those of the complements it
-        # draws), so the obstructions arrive in catalog order unsorted
+        # takes), and the walk visits them by position, so the obstructions
+        # arrive in catalog order unsorted
         drawn = {}
         candidates = ob._candidates
 
         def recording(name, n):
-            graphs = drawn.setdefault(n, [])
-            return (graphs.append(x[1]) or x for x in candidates(name, n))
+            members, children = candidates(name, n)
+            drawn[n] = [G for _, G, _ in members]
+            return members, children
 
         monkeypatch.setattr(ob, "_candidates", recording)
         limit = ob.CLASS_LIMITS[class_name]
@@ -267,6 +283,34 @@ class TestEnumeration:
         for n, graphs in drawn.items():
             forms = [gr.canonical_form(G) for G in graphs]
             assert forms and all(a < b for a, b in zip(forms, forms[1:])), n
+
+    @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
+    def test_children_invert_the_decks(self, class_name):
+        # each (parent, position) pair once, the positions sorted, one entry
+        # per graph of the generation one order down; and the decks hold
+        # distinct indices, so a count of partitionable parents equal to a
+        # deck's length means its whole deck partitions
+        split = class_name == "split"
+        for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
+            members, children = ob._candidates(class_name, n)
+            assert len(children) == len(gr.generation(n - 1, split)[0])
+            assert all(len(set(deck)) == len(deck) for _, _, deck in members)
+            edges = [(p, pos) for p, positions in enumerate(children) for pos in positions]
+            assert edges == sorted((p, pos) for pos, (_, _, deck) in enumerate(members)
+                                   for p in deck), n
+            assert len(set(edges)) == len(edges)
+
+    def test_reports_of_one_pair_share_witnesses(self):
+        # a second report of the same pair, made while the first is held,
+        # reuses its witness objects and its graph6 strings
+        M = pat.parse_matrix("0**;*0*;**0")
+        first = ob.enumerate_minimal_obstructions(M, "chordal", 7)
+        second = ob.enumerate_minimal_obstructions(M, "chordal", 7)
+        assert first.obstructions and len(first.obstructions) == len(second.obstructions)
+        for (g1, c1), (g2, c2) in zip(first.obstructions, second.obstructions):
+            assert g1 is g2
+            assert len(c1.witnesses) == len(c2.witnesses)
+            assert all(w1 is w2 for w1, w2 in zip(c1.witnesses, c2.witnesses))
 
     def test_negative_n_max(self):
         with pytest.raises(errors.BadParameters):
@@ -308,11 +352,11 @@ class TestClassPatterns:
                 assert M.star_blocks.get(diagonals) == star_pair(M, diagonals)
 
     def test_coverage(self, monkeypatch):
-        # a pair is decided iff enumeration draws no candidate, not even K1
+        # a pair is decided iff enumeration takes no candidates, not even K1's
         drawn = []
         candidates = ob._candidates
         monkeypatch.setattr(ob, "_candidates", lambda class_name, n: (
-            drawn.append(x) or x for x in candidates(class_name, n)))
+            drawn.append((class_name, n)) or candidates(class_name, n)))
 
         def decided(M, class_name):
             drawn.clear()
