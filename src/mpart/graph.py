@@ -355,12 +355,16 @@ def generation(n: int, split: bool) -> tuple[
 
     Deck i is the sorted tuple of distinct indices into the graphs on n - 1
     vertices of the isomorphism classes of G - v over the vertices v of the
-    i-th graph G; the graph on no vertex has the empty deck.  For the j-th
-    parent P of that deck, orders[i][j * n:(j + 1) * n] is the order o of a
-    child C of P (P plus the vertex n - 1) isomorphic to G: vertex k of G is
-    vertex o[k] of C, so u and v are adjacent in G iff o[u] and o[v] are in
-    C.  G minus the vertex k with o[k] = n - 1 is then P, each other k being
-    P's vertex o[k].
+    i-th graph G; the graph on no vertex has the empty deck.  orders[i]
+    packs one block of n + 1 bytes per deck parent.  For the j-th parent P,
+    there is a child C of P (P plus the vertex n - 1) isomorphic to G, and
+    the block orders[i][j * (n + 1):(j + 1) * (n + 1)] is the order o that
+    carries C onto G, n bytes, then one byte nb, the neighbourhood of C's
+    vertex n - 1 as a mask of P's vertices (n - 1 <= 8 of them).  Vertex k
+    of G is vertex o[k] of C, so u and v are adjacent in G iff o[u] and
+    o[v] are in C.  G minus the vertex k with o[k] = n - 1 is then P, each
+    other k being P's vertex o[k], and k's neighbours in G are the vertices
+    u with bit o[u] of nb set.
 
     Every graph of the class on n - 1 vertices (the parents, in their list
     order) gets a new vertex with each possible neighbourhood; split children
@@ -375,10 +379,10 @@ def generation(n: int, split: bool) -> tuple[
     output; a larger one only tries fewer children.
 
     Each child gets one search, `canonical_labeling`.  Per graph and deck
-    parent, the order of the first child of that parent reaching the graph
-    is kept, and the graph's orders are packed into one bytes object.
-    Parents are taken in list order, so the deck is in parent order and its
-    j-th entry lines up with the j-th n bytes.
+    parent, the order and the neighbourhood of the first child of that
+    parent reaching the graph are kept, and the graph's blocks are packed
+    into one bytes object.  Parents are taken in list order, so the deck is
+    in parent order and its j-th entry lines up with the j-th block.
     """
     limit = MAX_ENUM_SPLIT if split else MAX_ENUM_ALL
     if n > limit:
@@ -390,8 +394,8 @@ def generation(n: int, split: bool) -> tuple[
     if split:
         from .recognize import split_partition  # recognize imports this module
     top = 1 << (n - 1)
-    # form -> [its packed orders, then its deck]: one list per graph, so
-    # the orders need no container of their own while forms are collected
+    # form -> [its packed blocks, then its deck]: one list per graph, so
+    # the blocks need no container of their own while forms are collected
     decks: dict[bytes, list] = {}
     for p, parent in enumerate(generation(n - 1, split)[0]):
         base = parent.adj
@@ -416,6 +420,7 @@ def generation(n: int, split: bool) -> tuple[
             form, order = canonical_labeling(child)
             entry = decks.setdefault(form, [b""])
             if len(entry) == 1 or entry[-1] != p:
+                order.append(nb)  # the block: the order, then nb
                 entry[0] += bytes(order)
                 entry.append(p)
     forms = sorted(decks)

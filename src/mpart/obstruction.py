@@ -9,8 +9,9 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import comb
+from operator import eq
 from pathlib import Path
 from sys import intern
 
@@ -34,10 +35,19 @@ from .recognize import is_bipartite, is_chordal
 from .solver import PartAssignment, solve
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MinimalityCertificate:
+    """Weakly referenceable, so that a weak table can share equal
+    certificates (_CERTIFICATES)."""
+
+    # slots=True, weakref_slot=True by hand: Python 3.10 has no weakref_slot
+    __slots__ = ("graph", "witnesses", "__weakref__")
     graph: Graph
     witnesses: tuple[PartAssignment, ...]  # witnesses[v] partitions graph - v
+
+    def __reduce__(self):
+        # a frozen instance refuses pickle's default setattr of its slots
+        return MinimalityCertificate, (self.graph, self.witnesses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,31 +119,43 @@ CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
 
 @cache
 def _candidates(class_name: str, n: int):
-    """(candidates, children) of the class on n >= 1 vertices.
+    """(candidates, children, lens, orders) of the class on n >= 1 vertices.
 
     candidates is a tuple of (index, graph, deck) in the canonical-form
     order of the graph given; index and deck are the generation's, and
     complemented members are sorted once by their own canonical form.
     children[p], for each index p of the generation on n - 1 vertices, is
     the sorted tuple of the positions in candidates of those whose deck
-    holds p: the inverse of the decks."""
+    holds p: the inverse of the decks.  lens[pos] is the length of
+    candidates[pos]'s deck.  orders[index] is the generation's for each
+    candidate's index: a block per deck parent of an order and the new
+    vertex's neighbourhood byte.  The complement of a child is the
+    complement of its parent plus the complemented neighbourhood, so a
+    complemented member's neighbourhood bytes are flipped."""
     _, _, split, test, complement_of = _CLASSES[class_name]
     if complement_of is not None:
-        members = sorted(
-            ((i, complement(G), deck) for i, G, deck in _candidates(complement_of, n)[0]),
-            key=lambda member: canonical_form(member[1]))
+        base, _, _, base_orders = _candidates(complement_of, n)
+        members = sorted(((i, complement(G), deck) for i, G, deck in base),
+                         key=lambda member: canonical_form(member[1]))
+        flip = bytes(b ^ (1 << n - 1) - 1 for b in range(256))
+        orders = {}
+        for i, _, _ in members:
+            blocks = bytearray(base_orders[i])
+            blocks[n::n + 1] = base_orders[i][n::n + 1].translate(flip)
+            orders[i] = bytes(blocks)
     else:
         # the generator before `generation`, so that a wrapper on it times
         # a cold generation
         graphs = enumerate_split_graphs(n) if split else enumerate_graphs(n)
-        decks = generation(n, split)[1]
+        _, decks, orders = generation(n, split)
         members = [(i, G, decks[i]) for i, G in enumerate(graphs)
                    if test is None or test(G) is not None]
     children = [[] for _ in generation(n - 1, split)[0]]
     for pos, (_, _, deck) in enumerate(members):
         for p in deck:
             children[p].append(pos)
-    return tuple(members), tuple(map(tuple, children))
+    lens = bytes(len(deck) for _, _, deck in members)
+    return tuple(members), tuple(map(tuple, children)), lens, orders
 
 
 def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
@@ -142,43 +164,90 @@ def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
     return not M.star_blocks.keys().isdisjoint(_CLASSES[class_name][1])
 
 
-def _extend(G: Graph, deck, orders: bytes, partitioned: dict[int, bytes], M: PatternMatrix):
-    """Parts of G, one byte per vertex, from the first deck parent whose
-    parts extend to the vertex the parent lacks, or None when none does.
+@cache
+def _layout(m: int):
+    """(ones, spread, codes): the integer encoding of the parts, under m
+    parts, of a graph on at most 8 vertices (a deck parent: enumeration
+    stops at 9), and the masks that read it.
 
-    The parent's parts carry over through the order `generation` keeps for
-    it; the new vertex takes the lowest part whose rows of M.masks admit the
-    parts of its neighbours and of its non-neighbours."""
+    Vertex v has a slot of w = 8 * ceil(2m / 8) bits at bit w * v, in which
+    part q sets bits q and m + q.  A slot is whole bytes, so codes[q], that
+    slot as w / 8 bytes, little-endian, builds the code of parts as
+    int.from_bytes of their codes joined, with no loop over the vertices.
+    ones has bit 0 of each of the 8 slots, so s * ones repeats a slot s in
+    all of them.  spread[nb] keeps the low m bits of the slots of the
+    vertices in the mask nb and the high m bits of the others: bit q of a
+    slot of code & spread[nb] says that a vertex in nb has part q, bit
+    m + q that a vertex outside nb has."""
+    size = (2 * m + 7) // 8
+    w = 8 * size
+    ones = sum(1 << w * v for v in range(8))
+    low = (1 << m) - 1
+    spread = tuple(sum((low if nb >> v & 1 else low << m) << w * v for v in range(8))
+                   for nb in range(256))
+    codes = tuple((1 << q | 1 << m + q).to_bytes(size, "little") for q in range(m))
+    return ones, spread, codes
+
+
+def _forbidden(M: PatternMatrix, ones: int) -> tuple[int, ...]:
+    """Entry q has, in every slot of `_layout(M.m)`, the parts that M.masks
+    forbid on a neighbour (low m bits) and on a non-neighbour (high m bits)
+    of a vertex in part q."""
+    low = (1 << M.m) - 1
+    return tuple((low & ~adj_ok | (low & ~nonadj_ok) << M.m) * ones
+                 for adj_ok, nonadj_ok in zip(*M.masks))
+
+
+def _extend(member, orders, partitioned, spread, forbid, top: bool):
+    """Parts of the candidate member, one byte per vertex, from the first
+    deck parent whose parts extend to the vertex the parent lacks, or None
+    when none does.  Nothing reads the parts at the top order, so none are
+    built there, and an extending candidate gets b"".
+
+    partitioned maps each partitionable parent to (code, parts), with code
+    as `_layout` encodes parts.  The member's orders (`_candidates`) give
+    the new vertex's neighbourhood nb in the parent's numbering, so code &
+    spread[nb] holds the parts of its neighbours and of its non-neighbours,
+    and the new vertex takes the lowest part q whose forbid[q]
+    (`_forbidden`) holds none of them.  The parent's parts carry over
+    through the order `generation` keeps for it."""
+    i, G, deck = member
+    packed = orders[i]
     n = G.n
-    adj_ok, nonadj_ok = M.masks
     for j, p in enumerate(deck):
-        parts = partitioned[p]
-        order = orders[j * n:(j + 1) * n]
-        new = order.index(n - 1)
-        row = G.adj[new]
-        near = far = 0
-        for k, u in enumerate(order):
-            if row >> k & 1:
-                near |= 1 << parts[u]
-            elif k != new:
-                far |= 1 << parts[u]
-        for q in range(M.m):
-            if not (near & ~adj_ok[q] or far & ~nonadj_ok[q]):
-                # vertex k of G takes the part of the parent's vertex
-                # order[k], and q for the new vertex n - 1
-                return bytes(map((parts + bytes((q,))).__getitem__, order))
+        code, parts = partitioned[p]
+        end = j * (n + 1) + n  # the block's nb
+        seen = code & spread[packed[end]]
+        for q, bad in enumerate(forbid):
+            if not seen & bad:
+                if top:
+                    return b""
+                # vertex k of the graph takes the part of the parent's
+                # vertex order[k], and q for the new vertex n - 1
+                return bytes(map((parts + bytes((q,))).__getitem__, packed[end - n:end]))
     return None
 
 
-# equal witnesses are one object while anything holds them; the table holds
-# them weakly, like pattern._LIVE, so a witness nothing else holds is freed
+# equal witnesses, and equal certificates, are one object while anything
+# holds them; the tables hold them weakly, like pattern._LIVE, so one that
+# nothing else holds is freed
 _WITNESSES: weakref.WeakValueDictionary[tuple[int, ...], PartAssignment] = \
+    weakref.WeakValueDictionary()
+_CERTIFICATES: weakref.WeakValueDictionary[
+    tuple[Graph, tuple[PartAssignment, ...]], MinimalityCertificate] = \
     weakref.WeakValueDictionary()
 
 
 def _shared(w: PartAssignment) -> PartAssignment:
     """The live witness with w's parts: w itself if there is none."""
     return _WITNESSES.setdefault(w.parts, w)
+
+
+def _certificate(G: Graph, ws) -> MinimalityCertificate:
+    """The live certificate of G with witnesses ws, its witnesses shared:
+    a new one if there is none."""
+    ws = tuple(map(_shared, ws))
+    return _CERTIFICATES.setdefault((G, ws), MinimalityCertificate(G, ws))
 
 
 def enumerate_minimal_obstructions(
@@ -207,15 +276,18 @@ def enumerate_minimal_obstructions(
     An open candidate first tries to extend a deck parent's parts by one
     vertex (`_extend`).  Only when none extends is it classified by
     `classify_minimality`; it is then partitionable or minimal.  The parts
-    of the partitionable candidates are the only state kept for the next
-    order.  The outputs are those of classifying every open candidate: an
+    of the partitionable candidates, each with its integer code
+    (`_layout`), made once, are the only state kept for the next order.
+    Nothing reads the top order's parts, so none are built or kept there.
+    The outputs are those of classifying every open candidate: an
     extended candidate is partitionable, which emits nothing; every other
     one is classified as before; and a minimal obstruction's witnesses come
     from `solve(delete_vertex(G, v))`, never from kept parts.  Open
     candidates are visited by position, in the canonical-form order of the
     graph given, so the obstructions arrive in catalog order and the report
-    needs no sort.  Equal witnesses are one object while anything holds
-    them, across reports too (`_shared`), and graph6 strings are interned.
+    needs no sort.  Equal witnesses and equal certificates are one object
+    while anything holds them, across reports too (`_shared`,
+    `_certificate`), and graph6 strings are interned.
     jobs is accepted for compatibility and ignored.
     """
     if class_name not in _CLASSES:
@@ -228,20 +300,24 @@ def enumerate_minimal_obstructions(
     if decided_by_pattern(M, class_name):
         return EnumerationReport(M, class_name, n_max, ())
     found = []
-    # the parts of the partitionable candidates of order n - 1 by index;
-    # the graph on no vertex partitions
-    partitioned = {0: b""}
+    ones, spread, codes = _layout(M.m)
+    forbid = _forbidden(M, ones)
+    # (code, parts) of the partitionable candidates of order n - 1 by
+    # index; the graph on no vertex partitions
+    partitioned = {0: (0, b"")}
     for n in range(1, n_max + 1):
-        candidates, children = _candidates(class_name, n)
-        orders = generation(n, split)[2]
+        candidates, children, lens, orders = _candidates(class_name, n)
+        top = n == n_max
         # position -> the number of partitionable graphs in its deck; the
         # open candidates have them all, the others an obstructed deletion
         reached = Counter(chain.from_iterable(map(children.__getitem__, partitioned)))
-        parts_now: dict[int, bytes] = {}
-        for pos in sorted([pos for pos, k in reached.items() if k == len(candidates[pos][2])]):
-            i, G, deck = candidates[pos]
-            parts = _extend(G, deck, orders[i], partitioned, M)
+        full = map(eq, reached.values(), map(lens.__getitem__, reached))
+        parts_now: dict[int, tuple[int, bytes]] = {}
+        for pos in sorted(compress(reached, full)):
+            member = candidates[pos]
+            parts = _extend(member, orders, partitioned, spread, forbid, top)
             if parts is None:
+                G = member[1]
                 status, payload = classify_minimality(G, M)
                 if status == "not-minimal":
                     raise InternalError(
@@ -250,12 +326,12 @@ def enumerate_minimal_obstructions(
                     found.append((G, payload))
                     continue
                 parts = bytes(payload.parts)
-            if n < n_max:  # no order reads the last one's parts
-                parts_now[i] = parts
+            if not top:  # no order reads the last one's parts
+                code = int.from_bytes(b"".join(map(codes.__getitem__, parts)), "little")
+                parts_now[member[0]] = (code, parts)
         partitioned = parts_now
     obstructions = tuple(
-        (intern(to_graph6(G)), MinimalityCertificate(G, tuple(map(_shared, ws))))
-        for G, ws in found)
+        (intern(to_graph6(G)), _certificate(G, ws)) for G, ws in found)
     return EnumerationReport(M, class_name, n_max, obstructions)
 
 

@@ -307,15 +307,30 @@ class TestDecks:
             orders = gr.generation(n, split)[2]
             assert len(orders) == len(graphs(n))
             for G, deck, packed in zip(graphs(n), decks(n), orders):
-                assert len(packed) == n * len(deck)
+                # one block per deck parent: the order, then the new
+                # vertex's neighbourhood
+                assert len(packed) == (n + 1) * len(deck)
                 for j, p in enumerate(deck):
-                    order = packed[j * n:(j + 1) * n]
+                    order = packed[j * (n + 1):j * (n + 1) + n]
                     assert sorted(order) == list(range(n))
                     new = order.index(n - 1)
                     # the parent is G - new, its vertex order[k] at G's vertex k
                     assert all(G.has_edge(u, v) == parents[p].has_edge(order[u], order[v])
                                for u in range(n) for v in range(n)
                                if new not in (u, v) and u != v)
+
+    @pytest.mark.parametrize("split, top", [(False, 8), (True, 9)])
+    def test_blocks_record_the_new_vertex_neighbourhood(self, split, top):
+        # nb is the neighbourhood of G's vertex k with order[k] = n - 1,
+        # each neighbour u as the parent's vertex order[u]
+        for n in range(1, top + 1):
+            graphs, decks, orders = gr.generation(n, split)
+            for G, deck, packed in zip(graphs, decks, orders):
+                for j in range(len(deck)):
+                    block = packed[j * (n + 1):(j + 1) * (n + 1)]
+                    order, nb = block[:n], block[n]
+                    k = order.index(n - 1)
+                    assert nb == sum(1 << order[u] for u in range(n) if G.has_edge(k, u))
 
     @pytest.mark.parametrize("test", [rec.is_bipartite, rec.is_chordal])
     def test_hereditary_classes_keep_their_decks(self, test):

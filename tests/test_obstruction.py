@@ -1,4 +1,5 @@
 import json
+import pickle
 from itertools import combinations
 from math import comb
 
@@ -75,6 +76,38 @@ def classify_open_report(M, class_name, n_max):
     obstructions = tuple((gr.to_graph6(G), ob.MinimalityCertificate(G, w))
                          for _, G, w in found)
     return ob.EnumerationReport(M, class_name, n_max, obstructions)
+
+
+def per_vertex_extend(G, deck, packed, partitioned, M):
+    """`_extend` vertex by vertex, from G's adjacency: the parts of G from
+    the first deck parent whose parts extend, each vertex of G read through
+    the parent's order, the first n bytes of its block in packed, or None."""
+    n = G.n
+    adj_ok, nonadj_ok = M.masks
+    for j, p in enumerate(deck):
+        parts = partitioned[p][1]
+        order = packed[j * (n + 1):j * (n + 1) + n]
+        new = order.index(n - 1)
+        row = G.adj[new]
+        near = far = 0
+        for k, u in enumerate(order):
+            if row >> k & 1:
+                near |= 1 << parts[u]
+            elif k != new:
+                far |= 1 << parts[u]
+        for q in range(M.m):
+            if not (near & ~adj_ok[q] or far & ~nonadj_ok[q]):
+                return bytes(map((parts + bytes((q,))).__getitem__, order))
+    return None
+
+
+# matrices of 2, 3, 4 and 9 parts; each class has some that no part pattern
+# of it decides
+EXTEND_MATRICES = [pat.parse_matrix(rows) for rows in [
+    "01;10", "0*;*1", "00;01", "001;011;111", "0*1;*1*;1*0", "0*1;*0*;1*0",
+    "0110;1001;1001;0110", "0*10;*1*1;1*01;0111"]] + [pat.make_m_kt(4, 1),
+                                                      pat.make_m_kt(9, 2),
+                                                      pat.make_kl_matrix(1, 8)]
 
 
 class TestIsObstruction:
@@ -234,11 +267,37 @@ class TestEnumeration:
         for G in seen:
             assert all(sv.solve(gr.delete_vertex(G, v), M) is not None for v in range(G.n))
 
+    @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
+    def test_extension_matches_the_per_vertex_oracle(self, class_name, monkeypatch):
+        # every open candidate's extension equals the one found vertex by
+        # vertex from the candidate's own adjacency (in cobipartite, the
+        # complement's); at the top order only whether one exists
+        extend = ob._extend
+        split = class_name == "split"
+        outcomes = set()
+
+        def checking(member, orders, partitioned, spread, forbid, top):
+            got = extend(member, orders, partitioned, spread, forbid, top)
+            i, G, deck = member
+            want = per_vertex_extend(G, deck, gr.generation(G.n, split)[2][i], partitioned, M)
+            if top:
+                assert (got is None) == (want is None)
+            else:
+                assert got == want
+            outcomes.add((M.m, got is not None))
+            return got
+
+        monkeypatch.setattr(ob, "_extend", checking)
+        for M in EXTEND_MATRICES:
+            ob.enumerate_minimal_obstructions(M, class_name, ob.CLASS_LIMITS[class_name])
+        assert {m for m, _ in outcomes} == {2, 3, 4, 9}
+        assert {extended for _, extended in outcomes} == {False, True}
+
     def test_a_deck_missing_an_obstructed_deletion_raises_internal_error(self, monkeypatch):
         # K3 + K1 is obstructed but not minimal under 2-colouring.  With K3,
-        # the last entry, dropped from its deck, the one graph left there,
-        # K2 + K1, partitions, so the walk reaches K3 + K1 as open (the
-        # orders still line up with the deck), no witness extends, and
+        # the last entry, dropped from its deck (and its block from the
+        # packed orders), the one graph left there, K2 + K1, partitions, so
+        # the walk reaches K3 + K1 as open, no witness extends, and
         # classify_minimality finds the obstructed deletion
         k3 = [gr.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
             gr.canonical_form(gr.complete(3)))
@@ -246,16 +305,17 @@ class TestEnumeration:
         candidates = ob._candidates
 
         def incomplete(class_name, n):
-            members, children = candidates(class_name, n)
+            members, children, lens, orders = candidates(class_name, n)
             if n == 4:
-                patched = []
+                patched, orders = [], list(orders)
                 for i, G, deck in members:
                     if gr.canonical_form(G) == k3_k1:
                         assert len(deck) == 2 and deck[-1] == k3
-                        deck = deck[:-1]
+                        deck, orders[i] = deck[:-1], orders[i][:n + 1]
                     patched.append((i, G, deck))
                 members = tuple(patched)
-            return members, children
+                lens = bytes(len(deck) for _, _, deck in members)
+            return members, children, lens, orders
 
         monkeypatch.setattr(ob, "_candidates", incomplete)
         with pytest.raises(errors.InternalError):
@@ -272,9 +332,9 @@ class TestEnumeration:
         candidates = ob._candidates
 
         def recording(name, n):
-            members, children = candidates(name, n)
-            drawn[n] = [G for _, G, _ in members]
-            return members, children
+            got = candidates(name, n)
+            drawn[n] = [G for _, G, _ in got[0]]
+            return got
 
         monkeypatch.setattr(ob, "_candidates", recording)
         limit = ob.CLASS_LIMITS[class_name]
@@ -292,9 +352,10 @@ class TestEnumeration:
         # deck's length means its whole deck partitions
         split = class_name == "split"
         for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
-            members, children = ob._candidates(class_name, n)
+            members, children, lens, _ = ob._candidates(class_name, n)
             assert len(children) == len(gr.generation(n - 1, split)[0])
             assert all(len(set(deck)) == len(deck) for _, _, deck in members)
+            assert list(lens) == [len(deck) for _, _, deck in members]
             edges = [(p, pos) for p, positions in enumerate(children) for pos in positions]
             assert edges == sorted((p, pos) for pos, (_, _, deck) in enumerate(members)
                                    for p in deck), n
@@ -311,6 +372,17 @@ class TestEnumeration:
             assert g1 is g2
             assert len(c1.witnesses) == len(c2.witnesses)
             assert all(w1 is w2 for w1, w2 in zip(c1.witnesses, c2.witnesses))
+
+    def test_reports_of_one_pair_share_certificates(self):
+        # a second report of the same pair, made while the first is held,
+        # reuses its certificate objects; a certificate pickles to an equal one
+        M = pat.parse_matrix("0**;*0*;**0")
+        first = ob.enumerate_minimal_obstructions(M, "all", 7)
+        second = ob.enumerate_minimal_obstructions(M, "all", 7)
+        assert first.obstructions and len(first.obstructions) == len(second.obstructions)
+        assert all(c1 is c2 for (_, c1), (_, c2) in zip(first.obstructions, second.obstructions))
+        cert = first.obstructions[-1][1]
+        assert pickle.loads(pickle.dumps(cert)) == cert
 
     def test_negative_n_max(self):
         with pytest.raises(errors.BadParameters):
