@@ -2,12 +2,18 @@
 
 Supports up to 64 vertices (single machine word per row).  Includes graph6
 serialization, an exact canonical form used to deduplicate isomorphs, and
-exhaustive generation of non-isomorphic graphs and split graphs together with
-each graph's deck (the classes of its one-vertex deletions).
+every non-isomorphic graph and split graph up to the enumeration limits,
+with each graph's deck (the classes of its one-vertex deletions), read from
+a table that ships with the package.
 """
 
 from __future__ import annotations
 
+import os
+import struct
+import sys
+import zlib
+from array import array
 from dataclasses import dataclass
 from functools import cache
 
@@ -216,28 +222,17 @@ def _twins(adj, u, v) -> bool:
 
 def _canon_search(adj, cells):
     """Least code over the leaves below the equitable ordered partition
-    cells, and orders of leaves that reach it: those found below the first
-    child that reaches it, then the first one below each later such child.
+    cells.
 
     A vertex of the branching cell that is a twin of one already tried is
     skipped: swapping the two is an automorphism that fixes the partition,
     so its subtree is the image of the tried one's and holds the same codes.
-    Two leaves with one code give one graph, so the map taking the vertex at
-    each position of one leaf to the vertex at that position of the other is
-    an automorphism.  The maps from the first leaf to the others, with the
-    twin swaps, generate the whole group, by induction up the first leaf's
-    path: at a node on it, an automorphism that fixes the vertices
-    individualized so far and takes the next one, u, to w is the map to the
-    leaf kept below w composed with one that also fixes u (after a twin swap
-    if w was skipped).  Keeping one leaf per later child bounds the list by
-    the tree's branching, not by the size of the group.
     """
     for target, cell in enumerate(cells):
         if len(cell) > 1:
             break
     else:
-        order = [c[0] for c in cells]
-        return _code_of(adj, order), [order]
+        return _code_of(adj, [c[0] for c in cells])
     best = None
     tried: list[int] = []
     for v in cell:
@@ -245,43 +240,11 @@ def _canon_search(adj, cells):
             continue
         tried.append(v)
         rest = [u for u in cell if u != v]
-        code, leaves = _canon_search(
+        code = _canon_search(
             adj, _refine(adj, cells[:target] + [[v], rest] + cells[target + 1:], [1 << v]))
         if best is None or code < best:
-            best, best_leaves = code, leaves
-        elif code == best:
-            best_leaves.append(leaves[0])
-    return best, best_leaves
-
-
-def _search(adj):
-    """`_canon_search` below the refined unit partition."""
-    n = len(adj)
-    return _canon_search(adj, _refine(adj, [list(range(n))], [(1 << n) - 1]))
-
-
-def _automorphisms(G: Graph) -> list[list[int]]:
-    """Generators of the automorphism group of G, each as the list of the
-    vertices' images: the maps from the first leaf `_canon_search` returns
-    to each other one, and the transposition of every vertex with its least
-    lower twin, which generate the twin swaps the search relies on.
-    """
-    _, leaves = _search(G.adj)
-    first = leaves[0]
-    gens = []
-    for leaf in leaves[1:]:
-        perm = [0] * G.n
-        for u, v in zip(first, leaf):
-            perm[u] = v
-        gens.append(perm)
-    for v in range(G.n):
-        for u in range(v):
-            if _twins(G.adj, u, v):
-                perm = list(range(G.n))
-                perm[u], perm[v] = v, u
-                gens.append(perm)
-                break
-    return gens
+            best = code
+    return best
 
 
 def canonical_form(G: Graph) -> bytes:
@@ -299,20 +262,10 @@ def canonical_form(G: Graph) -> bytes:
     the 207 graphs on 2 to 6 vertices, `DK[` among them, it is larger.  The
     order of the generated lists, their decks and the catalogs follow this
     code, so they depend on the exact ordered partition `_refine` returns.
-    `canonical_labeling` also returns the first leaf that reaches the code.
-    """
-    return canonical_labeling(G)[0]
-
-
-def canonical_labeling(G: Graph) -> tuple[bytes, list[int]]:
-    """(form, order): `canonical_form(G)` and the first leaf of its search
-    that reaches the code, as the list whose entry i is the vertex of G
-    that is vertex i of `graph_from_canonical_form(form)`.  The other leaves
-    that reach the code, which `_automorphisms` reads, are dropped.
     """
     n = G.n
-    code, leaves = _search(G.adj)
-    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big"), leaves[0]
+    code = _canon_search(G.adj, _refine(G.adj, [list(range(n))], [(1 << n) - 1]))
+    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
 def graph_from_canonical_form(form: bytes) -> Graph:
@@ -335,16 +288,30 @@ def canonical_graph(G: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive non-isomorphic generation
+# the generation table
 # ---------------------------------------------------------------------------
 
-def _mask_images(perm, top):
-    """Entry m is the image under perm of the vertex mask m, for m < top."""
-    images = [0] * top
-    for m in range(1, top):
-        low = m & -m
-        images[m] = images[m ^ low] | 1 << perm[low.bit_length() - 1]
-    return images
+_TABLE = os.path.join(os.path.dirname(__file__), "generation.bin")
+# the table's sections: orders 1..MAX_ENUM_ALL of all graphs, then orders
+# 1..MAX_ENUM_SPLIT of split graphs
+_SECTIONS = MAX_ENUM_ALL + MAX_ENUM_SPLIT
+
+
+def _section(n: int, split: bool) -> tuple[bytes, int]:
+    """(payload, count): the uncompressed section of the N = count graphs on
+    n >= 1 vertices, or split graphs when split.
+
+    The table starts with a header of little-endian 32-bit words: the end
+    offset of each section, then its number of graphs.  A section's payload
+    holds N bytes, the length of each deck, then little-endian 16-bit words:
+    the N * n rows of adjacency, graph by graph, and every deck's entries,
+    deck by deck; then the packed orders, graph by graph."""
+    k = (MAX_ENUM_ALL if split else 0) + n - 1
+    with open(_TABLE, "rb") as f:
+        head = struct.unpack(f"<{2 * _SECTIONS}I", f.read(8 * _SECTIONS))
+        start = head[k - 1] if k else 8 * _SECTIONS
+        f.seek(start)
+        return zlib.decompress(f.read(head[k] - start)), head[_SECTIONS + k]
 
 
 @cache
@@ -366,23 +333,11 @@ def generation(n: int, split: bool) -> tuple[
     other k being P's vertex o[k], and k's neighbours in G are the vertices
     u with bit o[u] of nb set.
 
-    Every graph of the class on n - 1 vertices (the parents, in their list
-    order) gets a new vertex with each possible neighbourhood; split children
-    must pass the split test (Hammer and Simeone's degree sequence rule).
-    Both classes are hereditary, so every graph of the class arises, and
-    from exactly the parents isomorphic to its one-vertex deletions: the
-    parent indices recorded per canonical form are its deck.  An
-    automorphism s of the parent makes the children with neighbourhoods nb
-    and s(nb) isomorphic, so only one neighbourhood per orbit of the group
-    generated by `_automorphisms(parent)` is tried.  The deck records each
-    parent once per class, so any group of automorphisms gives the same
-    output; a larger one only tries fewer children.
-
-    Each child gets one search, `canonical_labeling`.  Per graph and deck
-    parent, the order and the neighbourhood of the first child of that
-    parent reaching the graph are kept, and the graph's blocks are packed
-    into one bytes object.  Parents are taken in list order, so the deck is
-    in parent order and its j-th entry lines up with the j-th block.
+    They are read from the package's table `generation.bin`, one section
+    per order, which canonical augmentation (McKay, Isomorph-free
+    exhaustive generation, 1998) built once; `tests/augmentation.py`
+    rebuilds it.  Deck entries are mapped through one tuple of the parent
+    indices, so all decks share one int per parent.
     """
     limit = MAX_ENUM_SPLIT if split else MAX_ENUM_ALL
     if n > limit:
@@ -391,44 +346,22 @@ def generation(n: int, split: bool) -> tuple[
         raise BadParameters("negative order")
     if n == 0:
         return (Graph(0, ()),), ((),), (b"",)
-    if split:
-        from .recognize import split_partition  # recognize imports this module
-    top = 1 << (n - 1)
-    # form -> [its packed blocks, then its deck]: one list per graph, so
-    # the blocks need no container of their own while forms are collected
-    decks: dict[bytes, list] = {}
-    for p, parent in enumerate(generation(n - 1, split)[0]):
-        base = parent.adj
-        images = [_mask_images(perm, top) for perm in _automorphisms(parent)]
-        seen = bytearray(top)
-        for nb in range(top):
-            if seen[nb]:
-                continue
-            seen[nb] = 1
-            orbit = [nb]
-            for m in orbit:
-                for image in images:
-                    other = image[m]
-                    if not seen[other]:
-                        seen[other] = 1
-                        orbit.append(other)
-            adj = [row | top if nb >> v & 1 else row for v, row in enumerate(base)]
-            adj.append(nb)
-            child = Graph(n, tuple(adj))
-            if split and split_partition(child) is None:
-                continue
-            form, order = canonical_labeling(child)
-            entry = decks.setdefault(form, [b""])
-            if len(entry) == 1 or entry[-1] != p:
-                order.append(nb)  # the block: the order, then nb
-                entry[0] += bytes(order)
-                entry.append(p)
-    forms = sorted(decks)
-    packed, orders = [], []
-    for entry in map(decks.pop, forms):  # pop: free each list as it is packed
-        packed.append(tuple(entry[1:]))
-        orders.append(entry[0])
-    return tuple(graph_from_canonical_form(f) for f in forms), tuple(packed), tuple(orders)
+    payload, count = _section(n, split)
+    lens = payload[:count]
+    words = array("H", payload[count:count + 2 * (count * n + sum(lens))])
+    if sys.byteorder == "big":
+        words.byteswap()
+    parents = tuple(range(len(generation(n - 1, split)[0])))
+    graphs, decks, orders = [], [], []
+    row, entry, block = 0, count * n, count + 2 * len(words)
+    for k in lens:
+        graphs.append(Graph(n, tuple(words[row:row + n])))
+        decks.append(tuple(map(parents.__getitem__, words[entry:entry + k])))
+        orders.append(payload[block:block + k * (n + 1)])
+        row += n
+        entry += k
+        block += k * (n + 1)
+    return tuple(graphs), tuple(decks), tuple(orders)
 
 
 def enumerate_graphs(n: int):

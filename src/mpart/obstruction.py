@@ -144,8 +144,8 @@ def _candidates(class_name: str, n: int):
             blocks[n::n + 1] = base_orders[i][n::n + 1].translate(flip)
             orders[i] = bytes(blocks)
     else:
-        # the generator before `generation`, so that a wrapper on it times
-        # a cold generation
+        # the list before `generation`, so that a wrapper on it times the
+        # cold read of the order's table section
         graphs = enumerate_split_graphs(n) if split else enumerate_graphs(n)
         _, decks, orders = generation(n, split)
         members = [(i, G, decks[i]) for i, G in enumerate(graphs)

@@ -1,0 +1,27 @@
+"""The committed table and the generator in `augmentation.py` that wrote it.
+
+The generator's canonical labeling and automorphism generators are tested
+in `test_graph.py`, with the canonical form they agree with."""
+
+import struct
+
+import augmentation as aug
+from mpart import graph as gr
+
+
+class TestTable:
+    def test_the_committed_table_is_the_augmentations(self):
+        # payloads, not compressed bytes: zlib's output may differ between
+        # zlib builds
+        for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT)):
+            for n in range(top + 1):
+                want = aug.generate(n, split)
+                if n:
+                    assert gr._section(n, split) == (aug.section(n, split), len(want[0]))
+                assert gr.generation(n, split) == want
+
+    def test_the_header_covers_the_file(self):
+        data = aug.TABLE.read_bytes()
+        ends = struct.unpack_from(f"<{gr._SECTIONS}I", data)
+        assert list(ends) == sorted(ends) and ends[0] > 8 * gr._SECTIONS
+        assert ends[-1] == len(data)

@@ -246,13 +246,27 @@ class TestRecognize:
         assert len(json.loads(out)["coloring"]) == 6
 
 
+def mycielski(G):
+    """Mycielski's graph of G: a shadow u of each vertex v, joined to v's
+    neighbours, and one more vertex joined to every shadow.  It has no
+    triangle if G has none, and chromatic number one higher."""
+    n = G.n
+    edges = G.edges() + [(u, n + v) for u, v in G.edges()] + [(v, n + u) for u, v in G.edges()]
+    return gr.from_edges(2 * n + 1, edges + [(n + v, 2 * n) for v in range(n)])
+
+
+# M6, built from K2 by four Mycielski steps: 47 vertices, no triangle and
+# chromatic number 6, so it has no 5-colouring, and `solve` takes seconds to
+# refute one
+M6 = gr.to_graph6(functools.reduce(lambda G, _: mycielski(G), range(4), gr.complete(2)))
+
+
 class TestTimeout:
-    def test_exit_3(self, tmp_path):
-        # fresh process so enumeration caches cannot make this fast
+    def test_exit_3(self):
+        # the exit code and stdout of a real `python -m mpart` process
         proc = subprocess.run(
-            [sys.executable, "-m", "mpart", "enumerate", "--matrix", "0*;*0",
-             "--class", "all", "--max-n", "8", "--timeout", "0.2",
-             "--data-dir", str(tmp_path)],
+            [sys.executable, "-m", "mpart", "solve", "--matrix", "0****;*0***;**0**;***0*;****0",
+             "--graph", M6, "--timeout", "0.2"],
             capture_output=True, text=True)
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["result"] == "indeterminate"

@@ -1,5 +1,6 @@
 """Byte pins: SHA-256 digests of solve and solve_split witnesses, of the
-canonical order and decks of the generators, and of one matrix's catalogs.
+canonical order, decks and packed orders of the generators, and of one
+matrix's catalogs.
 
 The searches promise more than solvability: `solve` tries vertices by minimum
 remaining values with index tiebreak and parts lowest first, so its witness
@@ -99,6 +100,15 @@ def test_canonical_order_and_decks_of_split_graphs_at_the_limit():
     lines = _forms_and_decks(gr.enumerate_split_graphs, lambda n: gr.generation(n, True)[1],
                              gr.MAX_ENUM_SPLIT)
     assert _digest(lines) == "8094439b5be9cdd5b8461e0a63baad0e25e60b42c3191268a64d76724a366250"
+
+
+def test_packed_orders_at_the_class_limits():
+    # the blocks of every graph and deck parent: an order, then the new
+    # vertex's neighbourhood byte
+    lines = (" ".join(o.hex() for o in gr.generation(n, split)[2])
+             for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT))
+             for n in range(top + 1))
+    assert _digest(lines) == "4357e63187dabd7d9fc850540c20b573ce0e90189bb1db91083630494655fcb5"
 
 
 def test_catalogs_at_the_class_limits():
