@@ -1,10 +1,11 @@
 """Small simple graphs as bitmask adjacency rows.
 
 Supports up to 64 vertices (single machine word per row).  Includes graph6
-serialization, an exact canonical form used to deduplicate isomorphs, and
-every non-isomorphic graph and split graph up to the enumeration limits,
-with each graph's deck (the classes of its one-vertex deletions), read from
-a table that ships with the package.
+serialization and every non-isomorphic graph and split graph up to the
+enumeration limits, with each graph's deck (the classes of its one-vertex
+deletions) and the class of its complement, read from a table that ships
+with the package.  Every isomorphism fact the package uses comes from that
+table: it runs no canonical labeling of its own.
 """
 
 from __future__ import annotations
@@ -155,139 +156,6 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# exact canonical form
-# ---------------------------------------------------------------------------
-
-def _refine(adj, cells, fresh):
-    """Equitable refinement of an ordered partition by neighbor counts.
-
-    Each round splits every cell by its vertices' tuples of neighbour counts
-    against the cells, the groups in increasing tuple order, until a round
-    splits nothing.  Only the counts against `fresh` are computed: the masks,
-    in cell order, of the cells the previous round created.  This returns
-    the same ordered partition as counting against every cell.  A cell X
-    that the previous round left whole was a cell of the partition that
-    round refined, so every current cell is a group of vertices with one
-    count against X.  A count that is constant inside every cell splits no
-    cell, and it never decides the lexicographic order of two tuples that
-    are compared, since those belong to one cell; so dropping it leaves the
-    same groups in the same order.  The first round has no previous round,
-    so every cell is fresh.  When `_canon_search` individualizes v, it
-    splits a cell C of an equitable partition into `[v]` and the rest, so
-    every count against an old cell is still constant inside each cell, and
-    the count against the rest is the count against C, a constant of each
-    cell, minus the count against `[v]`, which comes just before it in the
-    tuple.  So it splits no more and decides no order: `[v]` alone is fresh.
-    """
-    while True:
-        new_cells = []
-        new_fresh = []
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for v in cell:
-                row = adj[v]
-                groups.setdefault(tuple([(row & m).bit_count() for m in fresh]), []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-                continue
-            for sig in sorted(groups):
-                group = groups[sig]
-                new_cells.append(group)
-                m = 0
-                for v in group:
-                    m |= 1 << v
-                new_fresh.append(m)
-        if not new_fresh:
-            return new_cells
-        cells, fresh = new_cells, new_fresh
-
-
-def _code_of(adj, order):
-    code = 0
-    for i, u in enumerate(order):
-        row = adj[u]
-        for v in order[i + 1:]:
-            code = code << 1 | (row >> v & 1)
-    return code
-
-
-def _twins(adj, u, v) -> bool:
-    """Whether u and v have the same neighbours apart from each other."""
-    both = ~(1 << u | 1 << v)
-    return adj[u] & both == adj[v] & both
-
-
-def _canon_search(adj, cells):
-    """Least code over the leaves below the equitable ordered partition
-    cells.
-
-    A vertex of the branching cell that is a twin of one already tried is
-    skipped: swapping the two is an automorphism that fixes the partition,
-    so its subtree is the image of the tried one's and holds the same codes.
-    """
-    for target, cell in enumerate(cells):
-        if len(cell) > 1:
-            break
-    else:
-        return _code_of(adj, [c[0] for c in cells])
-    best = None
-    tried: list[int] = []
-    for v in cell:
-        if any(_twins(adj, u, v) for u in tried):
-            continue
-        tried.append(v)
-        rest = [u for u in cell if u != v]
-        code = _canon_search(
-            adj, _refine(adj, cells[:target] + [[v], rest] + cells[target + 1:], [1 << v]))
-        if best is None or code < best:
-            best = code
-    return best
-
-
-def canonical_form(G: Graph) -> bytes:
-    """Relabeling-invariant representative: n, then a code packed as bytes.
-
-    The code is an upper-triangle bit string (first pair = most significant
-    bit), the least over the leaves of an individualization-refinement search
-    (McKay and Piperno, Practical graph isomorphism II, 2014): starting from
-    `_refine` of the unit partition, individualize in turn each vertex of the
-    first non-singleton cell, skipping twins of vertices already tried, and
-    refine again against the new singleton only, down to discrete
-    partitions, each a labeling.  Relabeling the graph maps these leaves onto
-    those of the relabeled graph, so isomorphic graphs get the same code.
-    It is not, in general, the least code over all n! labelings: for 33 of
-    the 207 graphs on 2 to 6 vertices, `DK[` among them, it is larger.  The
-    order of the generated lists, their decks and the catalogs follow this
-    code, so they depend on the exact ordered partition `_refine` returns.
-    """
-    n = G.n
-    code = _canon_search(G.adj, _refine(G.adj, [list(range(n))], [(1 << n) - 1]))
-    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
-
-
-def graph_from_canonical_form(form: bytes) -> Graph:
-    n = form[0]
-    npairs = n * (n - 1) // 2
-    code = int.from_bytes(form[1:], "big")
-    adj = [0] * n
-    pos = npairs
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos -= 1
-            if code >> pos & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
-
-
-def canonical_graph(G: Graph) -> Graph:
-    return graph_from_canonical_form(canonical_form(G))
-
-
-# ---------------------------------------------------------------------------
 # the generation table
 # ---------------------------------------------------------------------------
 
@@ -304,8 +172,9 @@ def _section(n: int, split: bool) -> tuple[bytes, int]:
     The table starts with a header of little-endian 32-bit words: the end
     offset of each section, then its number of graphs.  A section's payload
     holds N bytes, the length of each deck, then little-endian 16-bit words:
-    the N * n rows of adjacency, graph by graph, and every deck's entries,
-    deck by deck; then the packed orders, graph by graph."""
+    the N * n rows of adjacency, graph by graph, the N indices of the
+    graphs' complements, and every deck's entries, deck by deck; then the
+    packed orders, graph by graph."""
     k = (MAX_ENUM_ALL if split else 0) + n - 1
     with open(_TABLE, "rb") as f:
         head = struct.unpack(f"<{2 * _SECTIONS}I", f.read(8 * _SECTIONS))
@@ -316,9 +185,11 @@ def _section(n: int, split: bool) -> tuple[bytes, int]:
 
 @cache
 def generation(n: int, split: bool) -> tuple[
-        tuple[Graph, ...], tuple[tuple[int, ...], ...], tuple[bytes, ...]]:
-    """(graphs, decks, orders) on n vertices: every non-isomorphic graph, or
-    every split graph when split, sorted by canonical form.
+        tuple[Graph, ...], tuple[tuple[int, ...], ...], tuple[bytes, ...], tuple[int, ...]]:
+    """(graphs, decks, orders, complements) on n vertices: every
+    non-isomorphic graph, or every split graph when split, sorted by the
+    canonical form of the generator that built the table, each graph the
+    relabeling of its class that this form gives.
 
     Deck i is the sorted tuple of distinct indices into the graphs on n - 1
     vertices of the isomorphism classes of G - v over the vertices v of the
@@ -331,7 +202,9 @@ def generation(n: int, split: bool) -> tuple[
     of G is vertex o[k] of C, so u and v are adjacent in G iff o[u] and
     o[v] are in C.  G minus the vertex k with o[k] = n - 1 is then P, each
     other k being P's vertex o[k], and k's neighbours in G are the vertices
-    u with bit o[u] of nb set.
+    u with bit o[u] of nb set.  complements[i] is the index of the class of
+    the i-th graph's complement; both classes are closed under complement,
+    so it is an involution on the indices.
 
     They are read from the package's table `generation.bin`, one section
     per order, which canonical augmentation (McKay, Isomorph-free
@@ -345,15 +218,15 @@ def generation(n: int, split: bool) -> tuple[
     if n < 0:
         raise BadParameters("negative order")
     if n == 0:
-        return (Graph(0, ()),), ((),), (b"",)
+        return (Graph(0, ()),), ((),), (b"",), (0,)
     payload, count = _section(n, split)
     lens = payload[:count]
-    words = array("H", payload[count:count + 2 * (count * n + sum(lens))])
+    words = array("H", payload[count:count + 2 * (count * (n + 1) + sum(lens))])
     if sys.byteorder == "big":
         words.byteswap()
     parents = tuple(range(len(generation(n - 1, split)[0])))
     graphs, decks, orders = [], [], []
-    row, entry, block = 0, count * n, count + 2 * len(words)
+    row, entry, block = 0, count * (n + 1), count + 2 * len(words)
     for k in lens:
         graphs.append(Graph(n, tuple(words[row:row + n])))
         decks.append(tuple(map(parents.__getitem__, words[entry:entry + k])))
@@ -361,18 +234,18 @@ def generation(n: int, split: bool) -> tuple[
         row += n
         entry += k
         block += k * (n + 1)
-    return tuple(graphs), tuple(decks), tuple(orders)
+    return tuple(graphs), tuple(decks), tuple(orders), tuple(words[count * n:count * (n + 1)])
 
 
 def enumerate_graphs(n: int):
-    """All non-isomorphic graphs on n vertices, sorted by canonical form: a
-    list of `generation(n, False)`'s graphs."""
+    """All non-isomorphic graphs on n vertices, in the table's order: a list
+    of `generation(n, False)`'s graphs."""
     return list(generation(n, False)[0])
 
 
 def enumerate_split_graphs(n: int):
-    """All non-isomorphic split graphs on n vertices, sorted by canonical
-    form: a list of `generation(n, True)`'s graphs."""
+    """All non-isomorphic split graphs on n vertices, in the table's order: a
+    list of `generation(n, True)`'s graphs."""
     return list(generation(n, True)[0])
 
 

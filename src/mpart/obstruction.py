@@ -21,7 +21,6 @@ from .graph import (
     MAX_ENUM_SPLIT,
     MAX_VERTICES,
     Graph,
-    canonical_form,
     complement,
     delete_vertex,
     enumerate_graphs,
@@ -53,10 +52,11 @@ class MinimalityCertificate:
 @dataclass(frozen=True, slots=True)
 class EnumerationReport:
     """Minimal obstructions of the class up to order n_max, as (graph6,
-    certificate) pairs in canonical-form order, with witnesses under matrix.
-    Each graph6 is a canonical representative (`canonical_graph`), except in
-    cobipartite: there it is the complement of a canonical bipartite
-    representative, which is in general not canonical itself."""
+    certificate) pairs in the generation table's order, with witnesses
+    under matrix.  Each graph6 is the table's representative of its class
+    (`generation`), except in cobipartite: there it is the complement of the
+    table's bipartite representative, which is in general not the table's
+    own, and the pairs are in the table's order of the complements' classes."""
 
     matrix: PatternMatrix
     class_name: str
@@ -121,9 +121,10 @@ CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
 def _candidates(class_name: str, n: int):
     """(candidates, children, lens, orders) of the class on n >= 1 vertices.
 
-    candidates is a tuple of (index, graph, deck) in the canonical-form
-    order of the graph given; index and deck are the generation's, and
-    complemented members are sorted once by their own canonical form.
+    candidates is a tuple of (index, graph, deck) in the generation's order
+    of the graph given; index and deck are the generation's, and
+    complemented members are sorted once by the generation's index of
+    their class, its complements column.
     children[p], for each index p of the generation on n - 1 vertices, is
     the sorted tuple of the positions in candidates of those whose deck
     holds p: the inverse of the decks.  lens[pos] is the length of
@@ -135,8 +136,9 @@ def _candidates(class_name: str, n: int):
     _, _, split, test, complement_of = _CLASSES[class_name]
     if complement_of is not None:
         base, _, _, base_orders = _candidates(complement_of, n)
+        complements = generation(n, split)[3]
         members = sorted(((i, complement(G), deck) for i, G, deck in base),
-                         key=lambda member: canonical_form(member[1]))
+                         key=lambda member: complements[member[0]])
         flip = bytes(b ^ (1 << n - 1) - 1 for b in range(256))
         orders = {}
         for i, _, _ in members:
@@ -147,7 +149,7 @@ def _candidates(class_name: str, n: int):
         # the list before `generation`, so that a wrapper on it times the
         # cold read of the order's table section
         graphs = enumerate_split_graphs(n) if split else enumerate_graphs(n)
-        _, decks, orders = generation(n, split)
+        _, decks, orders, _ = generation(n, split)
         members = [(i, G, decks[i]) for i, G in enumerate(graphs)
                    if test is None or test(G) is not None]
     children = [[] for _ in generation(n - 1, split)[0]]
@@ -283,11 +285,11 @@ def enumerate_minimal_obstructions(
     extended candidate is partitionable, which emits nothing; every other
     one is classified as before; and a minimal obstruction's witnesses come
     from `solve(delete_vertex(G, v))`, never from kept parts.  Open
-    candidates are visited by position, in the canonical-form order of the
-    graph given, so the obstructions arrive in catalog order and the report
-    needs no sort.  Equal witnesses and equal certificates are one object
-    while anything holds them, across reports too (`_shared`,
-    `_certificate`), and graph6 strings are interned.
+    candidates are visited by position, in the generation's order of the
+    graph given (`_candidates`), so the obstructions arrive in catalog
+    order and the report needs no sort.  Equal witnesses and equal
+    certificates are one object while anything holds them, across reports
+    too (`_shared`, `_certificate`), and graph6 strings are interned.
     jobs is accepted for compatibility and ignored.
     """
     if class_name not in _CLASSES:

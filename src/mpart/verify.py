@@ -8,7 +8,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, permutations, product
 from math import ceil
 from pathlib import Path
 
@@ -32,8 +32,21 @@ class CriterionResult:
         return self.elapsed <= self.budget
 
 
-def _canonical_g6_set(graphs) -> set[str]:
-    return {gr.to_graph6(gr.canonical_graph(G)) for G in graphs}
+def _representatives(graphs) -> set[str]:
+    """The graph6 strings of the generation table's representatives of the
+    graphs' classes: for each graph G, the graph of `generation(G.n, False)`
+    with G's degree sequence that a relabeling of G equals."""
+    found = set()
+    for G in graphs:
+        degrees = sorted(map(G.degree, range(G.n)))
+        pairs = list(combinations(range(G.n), 2))
+        for H in gr.generation(G.n, False)[0]:
+            if sorted(map(H.degree, range(H.n))) == degrees and any(
+                    all(G.has_edge(p[u], p[v]) == H.has_edge(u, v) for u, v in pairs)
+                    for p in permutations(range(G.n))):
+                found.add(gr.to_graph6(H))
+                break
+    return found
 
 
 def _matrices_3x3(diagonal_alphabet: str) -> list[pat.PatternMatrix]:
@@ -51,17 +64,21 @@ def _diag_star_free_matrices() -> list[pat.PatternMatrix]:
 # --- criteria -------------------------------------------------------------
 
 def check_odd_cycle_obstructions():
-    report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 7)
-    got = {g6 for g6, _ in report.obstructions}
-    want = _canonical_g6_set([gr.cycle(3), gr.cycle(5), gr.cycle(7)])
-    return got == want, f"found {sorted(got)}"
+    """König's theorem up to seven vertices: the minimal obstructions to two
+    independent sets (0*;*0) are C3, C5 and C7, and those to two cliques
+    (1*;*1) their complements."""
+    got = [{g6 for g6, _ in ob.enumerate_minimal_obstructions(
+        pat.make_kl_matrix(k, ell), "all", 7).obstructions} for k, ell in ((2, 0), (0, 2))]
+    cycles = [gr.cycle(3), gr.cycle(5), gr.cycle(7)]
+    want = [_representatives(cycles), _representatives(map(gr.complement, cycles))]
+    return got == want, f"found {sorted(got[0])} under 0*;*0, {sorted(got[1])} under 1*;*1"
 
 
 def check_split_characterization():
     M = pat.make_kl_matrix(1, 1)
     report = ob.enumerate_minimal_obstructions(M, "all", 6)
     got = {g6 for g6, _ in report.obstructions}
-    want = _canonical_g6_set([
+    want = _representatives([
         gr.disjoint_union(gr.complete(2), gr.complete(2)),
         gr.cycle(4),
         gr.cycle(5),

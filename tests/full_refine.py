@@ -1,6 +1,7 @@
-"""`canonical_form` with refinement counting against every cell in every
-round, as it was before it counted only against the fresh cells: kept as a
-reference for code identity.
+"""The table generator's `canonical_form` (`augmentation.py`) with
+refinement counting against every cell in every round, as it was before it
+counted only against the fresh cells: kept as a reference for code
+identity.
 
 Individualization-refinement from the refined unit partition, twins of tried
 vertices skipped, least upper-triangle code over the leaves.

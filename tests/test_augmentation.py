@@ -1,7 +1,10 @@
-"""The committed table and the generator in `augmentation.py` that wrote it.
+"""The committed table and the generator in `augmentation.py` that wrote it,
+complements column included.
 
-The generator's canonical labeling and automorphism generators are tested
-in `test_graph.py`, with the canonical form they agree with."""
+The generator's canonical labeling, the repository's only canonical search
+apart from the reference in `full_refine.py`, and its automorphism
+generators are tested in `test_graph.py` and `test_properties.py`; the
+complements column in `test_graph.py`."""
 
 import struct
 

@@ -12,7 +12,7 @@ from relabel import relabel
 
 
 def iso(G, H):
-    return gr.canonical_form(G) == gr.canonical_form(H)
+    return aug.canonical_form(G) == aug.canonical_form(H)
 
 
 def two_k2():
@@ -131,10 +131,10 @@ class TestGenerators:
 class TestCanonicalForm:
     def test_c4_relabelings(self):
         C4 = gr.cycle(4)
-        assert gr.canonical_form(relabel(C4, [2, 0, 3, 1])) == gr.canonical_form(C4)
+        assert aug.canonical_form(relabel(C4, [2, 0, 3, 1])) == aug.canonical_form(C4)
 
     def test_k3_vs_p3(self):
-        assert gr.canonical_form(gr.complete(3)) != gr.canonical_form(gr.path(3))
+        assert aug.canonical_form(gr.complete(3)) != aug.canonical_form(gr.path(3))
 
     def test_invariance_random(self):
         rng = random.Random(11)
@@ -144,20 +144,20 @@ class TestCanonicalForm:
                                   if rng.random() < 0.5])
             perm = list(range(n))
             rng.shuffle(perm)
-            assert gr.canonical_form(relabel(G, perm)) == gr.canonical_form(G)
+            assert aug.canonical_form(relabel(G, perm)) == aug.canonical_form(G)
 
     def test_round_trip(self):
         G = gr.cycle(6)
-        assert gr.canonical_form(gr.graph_from_canonical_form(gr.canonical_form(G))) \
-            == gr.canonical_form(G)
+        assert aug.canonical_form(aug.graph_from_canonical_form(aug.canonical_form(G))) \
+            == aug.canonical_form(G)
 
     def test_labeling_relabels_onto_the_form(self):
         rng = random.Random(12)
         graphs = [G for n in range(7) for G in gr.enumerate_graphs(n)]
         for G in graphs + [relabel(G, rng.sample(range(G.n), G.n)) for G in graphs]:
             form, order = aug.canonical_labeling(G)
-            assert form == gr.canonical_form(G)
-            assert relabel(G, order) == gr.graph_from_canonical_form(form)
+            assert form == aug.canonical_form(G)
+            assert relabel(G, order) == aug.graph_from_canonical_form(form)
 
 
 def mask_orbits(n, perms):
@@ -242,12 +242,12 @@ class TestEnumeration:
         assert [len(gr.enumerate_split_graphs(n)) for n in (7, 8, 9)] == [164, 557, 2223]
 
     def test_sorted_and_unique(self):
-        forms = [gr.canonical_form(G) for G in gr.enumerate_graphs(6)]
+        forms = [aug.canonical_form(G) for G in gr.enumerate_graphs(6)]
         assert forms == sorted(forms)
         assert len(set(forms)) == len(forms)
         # every representative is its own canonical relabeling
         for G in gr.enumerate_graphs(5):
-            assert gr.canonical_graph(G) == G
+            assert aug.graph_from_canonical_form(aug.canonical_form(G)) == G
 
     def test_too_large(self):
         with pytest.raises(errors.TooLarge):
@@ -257,8 +257,8 @@ class TestEnumeration:
 
     def test_split_matches_filtering(self):
         for n in range(1, 8):
-            direct = {gr.canonical_form(G) for G in gr.enumerate_split_graphs(n)}
-            filtered = {gr.canonical_form(G) for G in gr.enumerate_graphs(n)
+            direct = {aug.canonical_form(G) for G in gr.enumerate_split_graphs(n)}
+            filtered = {aug.canonical_form(G) for G in gr.enumerate_graphs(n)
                         if rec.split_partition(G) is not None}
             assert direct == filtered
 
@@ -281,7 +281,7 @@ def split_graph_decks(n):
 
 def brute_deck(G, index):
     """Sorted distinct list indices of the classes of G - v, from scratch."""
-    return tuple(sorted({index[gr.canonical_form(gr.delete_vertex(G, v))] for v in range(G.n)}))
+    return tuple(sorted({index[aug.canonical_form(gr.delete_vertex(G, v))] for v in range(G.n)}))
 
 
 class TestDecks:
@@ -292,7 +292,7 @@ class TestDecks:
     def test_against_brute_force(self, graphs, decks, top):
         assert decks(0) == ((),)
         for n in range(1, top + 1):
-            index = {gr.canonical_form(H): i for i, H in enumerate(graphs(n - 1))}
+            index = {aug.canonical_form(H): i for i, H in enumerate(graphs(n - 1))}
             got = decks(n)
             assert len(got) == len(graphs(n))
             for G, deck in zip(graphs(n), got):
@@ -326,7 +326,7 @@ class TestDecks:
         # nb is the neighbourhood of G's vertex k with order[k] = n - 1,
         # each neighbour u as the parent's vertex order[u]
         for n in range(1, top + 1):
-            graphs, decks, orders = gr.generation(n, split)
+            graphs, decks, orders, _ = gr.generation(n, split)
             for G, deck, packed in zip(graphs, decks, orders):
                 for j in range(len(deck)):
                     block = packed[j * (n + 1):(j + 1) * (n + 1)]
@@ -356,6 +356,17 @@ class TestDecks:
             gr.generation(-1, False)
         with pytest.raises(errors.BadParameters):
             gr.generation(-1, True)
+
+
+class TestComplements:
+    @pytest.mark.parametrize("split, top", [(False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT)])
+    def test_each_index_is_the_class_of_the_complement(self, split, top):
+        for n in range(top + 1):
+            graphs, _, _, complements = gr.generation(n, split)
+            assert len(complements) == len(graphs)
+            assert all(complements[c] == i for i, c in enumerate(complements))
+            for G, c in zip(graphs, complements):
+                assert aug.canonical_form(gr.complement(G)) == aug.canonical_form(graphs[c])
 
 
 class TestPickle:

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import augmentation as aug
 from mpart import errors
 from mpart import graph as gr
 from mpart import obstruction as ob
@@ -16,6 +17,11 @@ from mpart import verify as vf
 
 def two_k2():
     return gr.disjoint_union(gr.complete(2), gr.complete(2))
+
+
+def canonical_g6(G):
+    """graph6 of G's canonical relabeling, the generator's representative."""
+    return gr.to_graph6(aug.graph_from_canonical_form(aug.canonical_form(G)))
 
 
 def delete_vertices(G, gone):
@@ -46,7 +52,7 @@ def oracle_report(M, class_name, n_max):
         for G in ORACLE_CANDIDATES[class_name](n):
             status, payload = ob.classify_minimality(G, M)
             if status == "minimal":
-                found.append((gr.canonical_form(G), G, payload))
+                found.append((aug.canonical_form(G), G, payload))
     found.sort(key=lambda x: x[0])
     obstructions = tuple((gr.to_graph6(G), ob.MinimalityCertificate(G, w))
                          for _, G, w in found)
@@ -70,7 +76,7 @@ def classify_open_report(M, class_name, n_max):
             assert status != "not-minimal"
             if status == "minimal":
                 now.add(i)
-                found.append((gr.canonical_form(G), G, payload))
+                found.append((aug.canonical_form(G), G, payload))
         obstructed = now
     found.sort(key=lambda x: x[0])
     obstructions = tuple((gr.to_graph6(G), ob.MinimalityCertificate(G, w))
@@ -154,14 +160,13 @@ class TestEnumeration:
     def test_odd_cycles(self):
         report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 7)
         got = {g6 for g6, _ in report.obstructions}
-        want = {gr.to_graph6(gr.canonical_graph(gr.cycle(k))) for k in (3, 5, 7)}
+        want = {canonical_g6(gr.cycle(k)) for k in (3, 5, 7)}
         assert got == want
         assert report.counts == {3: 1, 5: 1, 7: 1}
 
     def test_split_characterization(self):
         report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(1, 1), "all", 6)
-        want = {gr.to_graph6(gr.canonical_graph(G))
-                for G in (two_k2(), gr.cycle(4), gr.cycle(5))}
+        want = {canonical_g6(G) for G in (two_k2(), gr.cycle(4), gr.cycle(5))}
         assert {g6 for g6, _ in report.obstructions} == want
 
     def test_split_class_empty(self):
@@ -191,18 +196,23 @@ class TestEnumeration:
             assert rec.is_cobipartite(cert.graph) is not None
             assert sv.solve(cert.graph, pat.parse_matrix("1")) is None
 
-    @pytest.mark.parametrize("rows", ["1", "0*;*1", "01;11"])
+    @pytest.mark.parametrize("rows", ["1", "0*;*1", "01;11", "0*1;*1*;1*0"])
     def test_cobipartite_is_complement_of_bipartite(self, rows):
         # at full range: the cobipartite catalog of M is the complement of the
-        # bipartite catalog of the complement matrix, graph for graph
+        # bipartite catalog of the complement matrix, graph for graph, in the
+        # canonical order of the complements, and witness for witness: the
+        # complements column only orders the catalog
         M = pat.parse_matrix(rows)
         co = ob.enumerate_minimal_obstructions(M, "cobipartite", 8)
         bip = ob.enumerate_minimal_obstructions(pat.complement_matrix(M), "bipartite", 8)
         want = sorted((gr.complement(cert.graph) for _, cert in bip.obstructions),
-                      key=gr.canonical_form)
+                      key=aug.canonical_form)
         assert [g6 for g6, _ in co.obstructions] == [gr.to_graph6(H) for H in want]
         assert co.counts == bip.counts
-        for _, cert in co.obstructions:
+        bip_witnesses = {gr.to_graph6(gr.complement(cert.graph)): cert.witnesses
+                         for _, cert in bip.obstructions}
+        for g6, cert in co.obstructions:
+            assert [w.parts for w in cert.witnesses] == [w.parts for w in bip_witnesses[g6]]
             for v, w in enumerate(cert.witnesses):
                 assert sv.validate(gr.delete_vertex(cert.graph, v), M, w.parts)
 
@@ -218,7 +228,7 @@ class TestEnumeration:
         assert emitted
         for g6 in emitted:
             G = flip(gr.parse_graph6(g6))
-            assert gr.to_graph6(G) == gr.to_graph6(gr.canonical_graph(G))
+            assert gr.to_graph6(G) == canonical_g6(G)
 
     def test_jobs_is_accepted_and_ignored(self):
         M = pat.make_kl_matrix(2, 0)
@@ -299,9 +309,9 @@ class TestEnumeration:
         # packed orders), the one graph left there, K2 + K1, partitions, so
         # the walk reaches K3 + K1 as open, no witness extends, and
         # classify_minimality finds the obstructed deletion
-        k3 = [gr.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
-            gr.canonical_form(gr.complete(3)))
-        k3_k1 = gr.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1)))
+        k3 = [aug.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
+            aug.canonical_form(gr.complete(3)))
+        k3_k1 = aug.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1)))
         candidates = ob._candidates
 
         def incomplete(class_name, n):
@@ -309,7 +319,7 @@ class TestEnumeration:
             if n == 4:
                 patched, orders = [], list(orders)
                 for i, G, deck in members:
-                    if gr.canonical_form(G) == k3_k1:
+                    if aug.canonical_form(G) == k3_k1:
                         assert len(deck) == 2 and deck[-1] == k3
                         deck, orders[i] = deck[:-1], orders[i][:n + 1]
                     patched.append((i, G, deck))
@@ -341,7 +351,7 @@ class TestEnumeration:
         ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), class_name, limit)
         assert sorted(drawn) == list(range(1, limit + 1))
         for n, graphs in drawn.items():
-            forms = [gr.canonical_form(G) for G in graphs]
+            forms = [aug.canonical_form(G) for G in graphs]
             assert forms and all(a < b for a, b in zip(forms, forms[1:])), n
 
     @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
@@ -514,12 +524,12 @@ class TestGtFamily:
 
     def test_delete_u_gives_path(self):
         G = ob.construct_gt(3)
-        assert gr.canonical_form(gr.delete_vertex(G, 6)) == gr.canonical_form(gr.path(6))
+        assert aug.canonical_form(gr.delete_vertex(G, 6)) == aug.canonical_form(gr.path(6))
 
     def test_induced_2k2(self):
         G = ob.construct_gt(3)
         sub = delete_vertices(G, [2, 3, 6])
-        assert gr.canonical_form(sub) == gr.canonical_form(two_k2())
+        assert aug.canonical_form(sub) == aug.canonical_form(two_k2())
 
     def test_bad_parameters(self):
         with pytest.raises(errors.BadParameters):

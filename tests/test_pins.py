@@ -1,19 +1,22 @@
 """Byte pins: SHA-256 digests of solve and solve_split witnesses, of the
-canonical order, decks and packed orders of the generators, and of one
-matrix's catalogs.
+canonical order, decks and packed orders of the generation table, and of
+one matrix's catalogs.
 
 The searches promise more than solvability: `solve` tries vertices by minimum
 remaining values with index tiebreak and parts lowest first, so its witness
 is fixed; `solve_split` reads its C-star witness off the first `01` pair of
-`star_blocks` and the largest, lexicographically least split clique;
-`canonical_form` fixes the order of every generated list, its decks and every
-catalog.  A change to any of them that keeps the answers but moves these
-bytes fails here.
+`star_blocks` and the largest, lexicographically least split clique; the
+canonical form of the table's generator (`augmentation.canonical_form`, the
+only canonical labeling the tests and the table share) fixes the order of
+every generated list, its decks and every catalog, and the table's
+representatives, whose forms are hashed here.  A change to any of them that
+keeps the answers but moves these bytes fails here.
 """
 
 import hashlib
 from itertools import product
 
+import augmentation as aug
 from mpart import graph as gr
 from mpart import obstruction as ob
 from mpart import pattern as pat
@@ -76,7 +79,7 @@ def test_solve_witnesses_of_the_theorem5_deletions():
 
 def _forms_and_decks(graphs, decks, top):
     for n in range(top + 1):
-        yield " ".join(gr.canonical_form(G).hex() for G in graphs(n))
+        yield " ".join(aug.canonical_form(G).hex() for G in graphs(n))
         yield repr(decks(n))
 
 

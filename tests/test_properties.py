@@ -1,7 +1,8 @@
 """Property tests: the solver against the counting oracle and against the
-search without its interchangeable-part skip and backjumps, the canonical
-form under relabelling and against refinement by every cell, round-trips of
-the text formats, and the CLI on arbitrary input text.
+search without its interchangeable-part skip and backjumps, the table
+generator's canonical form (`augmentation.py`) under relabelling and against
+refinement by every cell, round-trips of the text formats, and the CLI on
+arbitrary input text.
 
 Derandomized, so every run draws the same examples.
 """
@@ -13,6 +14,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import augmentation as aug
 from full_refine import full_refine_canonical_form
 from mpart import graph as gr
 from mpart import pattern as pat
@@ -121,8 +123,7 @@ def relabelled(draw, max_n):
 @given(relabelled(9))
 def test_canonical_form_is_invariant_under_relabelling(pair):
     G, H = pair
-    assert gr.canonical_form(H) == gr.canonical_form(G)
-    assert gr.canonical_graph(H) == gr.canonical_graph(G)
+    assert aug.canonical_form(H) == aug.canonical_form(G)
 
 
 def test_canonical_form_is_the_full_refinement_form_on_random_graphs():
@@ -132,13 +133,13 @@ def test_canonical_form_is_the_full_refinement_form_on_random_graphs():
         p = rng.uniform(0.1, 0.9)
         G = gr.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                               if rng.random() < p])
-        assert gr.canonical_form(G) == full_refine_canonical_form(G)
+        assert aug.canonical_form(G) == full_refine_canonical_form(G)
 
 
 @fixed(200)
 @given(st.one_of(cycle_unions(12), relabelled(7).map(lambda pair: pair[1])))
 def test_canonical_form_is_the_full_refinement_form_where_the_search_branches(G):
-    assert gr.canonical_form(G) == full_refine_canonical_form(G)
+    assert aug.canonical_form(G) == full_refine_canonical_form(G)
 
 
 @fixed(200)
