@@ -23,13 +23,11 @@ from .graph import (
     Graph,
     complement,
     delete_vertex,
-    enumerate_graphs,
-    enumerate_split_graphs,
     from_edges,
     generation,
     to_graph6,
 )
-from .pattern import STAR, PatternMatrix, make_m_kt
+from .pattern import STAR, PatternMatrix, complement_matrix, make_m_kt
 from .recognize import is_bipartite, is_chordal
 from .solver import PartAssignment, solve
 
@@ -56,7 +54,7 @@ class EnumerationReport:
     under matrix.  Each graph6 is the table's representative of its class
     (`generation`), except in cobipartite: there it is the complement of the
     table's bipartite representative, which is in general not the table's
-    own, and the pairs are in the table's order of the complements' classes."""
+    own, and the pairs are sorted into the table's order of their classes."""
 
     matrix: PatternMatrix
     class_name: str
@@ -97,22 +95,19 @@ def classify_minimality(G: Graph, M: PatternMatrix):
 # class name -> (largest order, part patterns as PatternMatrix.star_blocks
 # names them, split: whether the candidates come from the split graphs'
 # generation rather than all graphs', member test or None for every graph
-# generated, the class whose candidates it complements or None).  Every
-# graph has the pattern "*"; split, bipartite and cobipartite graphs split
-# into an independent set and a clique, two independent sets, or two
-# cliques.  A deck indexes the generation's own index space at order n - 1,
-# so every class must be hereditary: each G - v of a member is a member.
-# Complementing maps bipartite onto cobipartite and keeps the deck and its
-# index space (the complement of G - v is the complement of G, minus v), so
-# cobipartite takes bipartite's members rather than testing every graph
-# again.  The tests and the generators are called through this module's
-# names, so a wrapper put there sees every call.
+# generated, the class whose walk it runs under the complement matrix
+# (enumerate_minimal_obstructions), having no candidates of its own, or
+# None).  Every graph has the pattern "*"; split, bipartite and cobipartite
+# graphs split into an independent set and a clique, two independent sets,
+# or two cliques.  A deck indexes the generation's own index space at order
+# n - 1, so every class must be hereditary: each G - v of a member is a
+# member.
 _CLASSES = {
     "all": (MAX_ENUM_ALL, (STAR,), False, None, None),
     "split": (MAX_ENUM_SPLIT, (STAR, "01"), True, None, None),
-    "bipartite": (MAX_ENUM_ALL, (STAR, "00"), False, lambda G: is_bipartite(G), None),
+    "bipartite": (MAX_ENUM_ALL, (STAR, "00"), False, is_bipartite, None),
     "cobipartite": (MAX_ENUM_ALL, (STAR, "11"), False, None, "bipartite"),
-    "chordal": (MAX_ENUM_ALL, (STAR,), False, lambda G: is_chordal(G), None),
+    "chordal": (MAX_ENUM_ALL, (STAR,), False, is_chordal, None),
 }
 CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
 
@@ -121,37 +116,20 @@ CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
 def _candidates(class_name: str, n: int):
     """(candidates, children, lens, orders) of the class on n >= 1 vertices.
 
-    candidates is a tuple of (index, graph, deck) in the generation's order
-    of the graph given; index and deck are the generation's, and
-    complemented members are sorted once by the generation's index of
-    their class, its complements column.
-    children[p], for each index p of the generation on n - 1 vertices, is
-    the sorted tuple of the positions in candidates of those whose deck
-    holds p: the inverse of the decks.  lens[pos] is the length of
-    candidates[pos]'s deck.  orders[index] is the generation's for each
-    candidate's index: a block per deck parent of an order and the new
-    vertex's neighbourhood byte.  The complement of a child is the
-    complement of its parent plus the complemented neighbourhood, so a
-    complemented member's neighbourhood bytes are flipped."""
-    _, _, split, test, complement_of = _CLASSES[class_name]
-    if complement_of is not None:
-        base, _, _, base_orders = _candidates(complement_of, n)
-        complements = generation(n, split)[3]
-        members = sorted(((i, complement(G), deck) for i, G, deck in base),
-                         key=lambda member: complements[member[0]])
-        flip = bytes(b ^ (1 << n - 1) - 1 for b in range(256))
-        orders = {}
-        for i, _, _ in members:
-            blocks = bytearray(base_orders[i])
-            blocks[n::n + 1] = base_orders[i][n::n + 1].translate(flip)
-            orders[i] = bytes(blocks)
-    else:
-        # the list before `generation`, so that a wrapper on it times the
-        # cold read of the order's table section
-        graphs = enumerate_split_graphs(n) if split else enumerate_graphs(n)
-        _, decks, orders, _ = generation(n, split)
-        members = [(i, G, decks[i]) for i, G in enumerate(graphs)
-                   if test is None or test(G) is not None]
+    candidates is a tuple of (index, graph, deck), the generation's, of
+    the members in the generation's order.  children[p], for each index p
+    of the generation on n - 1 vertices, is the sorted tuple of the
+    positions in candidates of those whose deck holds p: the inverse of the
+    decks.  lens[pos] is the length of candidates[pos]'s deck.  orders is
+    the generation's: a block per deck parent of an order and the new
+    vertex's neighbourhood byte.  A class that runs another's walk
+    (cobipartite) has no candidates and is refused."""
+    _, _, split, test, dual = _CLASSES[class_name]
+    if dual is not None:
+        raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
+    graphs, decks, orders, _ = generation(n, split)
+    members = [(i, G, decks[i]) for i, G in enumerate(graphs)
+               if test is None or test(G) is not None]
     children = [[] for _ in generation(n - 1, split)[0]]
     for pos, (_, _, deck) in enumerate(members):
         for p in deck:
@@ -285,30 +263,37 @@ def enumerate_minimal_obstructions(
     extended candidate is partitionable, which emits nothing; every other
     one is classified as before; and a minimal obstruction's witnesses come
     from `solve(delete_vertex(G, v))`, never from kept parts.  Open
-    candidates are visited by position, in the generation's order of the
-    graph given (`_candidates`), so the obstructions arrive in catalog
-    order and the report needs no sort.  Equal witnesses and equal
+    candidates are visited by position, in the generation's order, so the
+    obstructions arrive in catalog order.  Equal witnesses and equal
     certificates are one object while anything holds them, across reports
     too (`_shared`, `_certificate`), and graph6 strings are interned.
     jobs is accepted for compatibility and ignored.
+
+    cobipartite runs bipartite's walk under complement_matrix(M): a graph's
+    complement has an M-partition exactly when the graph has a
+    complement_matrix(M)-partition with the same parts.  The class's
+    obstructions are the complements of the walk's, with its witnesses,
+    sorted into catalog order: by order, then by the generation's index of
+    their class, its complements column.
     """
     if class_name not in _CLASSES:
         raise BadParameters(f"unknown class {class_name!r}")
-    limit, _, split, _, _ = _CLASSES[class_name]
+    limit, _, split, _, dual = _CLASSES[class_name]
     if n_max > limit:
         raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
     if n_max < 0:
         raise BadParameters(f"n_max={n_max} is negative")
     if decided_by_pattern(M, class_name):
         return EnumerationReport(M, class_name, n_max, ())
-    found = []
-    ones, spread, codes = _layout(M.m)
-    forbid = _forbidden(M, ones)
+    walk, W = (dual, complement_matrix(M)) if dual else (class_name, M)
+    found = []  # (index, graph, witnesses) of the walk's minimal obstructions
+    ones, spread, codes = _layout(W.m)
+    forbid = _forbidden(W, ones)
     # (code, parts) of the partitionable candidates of order n - 1 by
     # index; the graph on no vertex partitions
     partitioned = {0: (0, b"")}
     for n in range(1, n_max + 1):
-        candidates, children, lens, orders = _candidates(class_name, n)
+        candidates, children, lens, orders = _candidates(walk, n)
         top = n == n_max
         # position -> the number of partitionable graphs in its deck; the
         # open candidates have them all, the others an obstructed deletion
@@ -320,20 +305,23 @@ def enumerate_minimal_obstructions(
             parts = _extend(member, orders, partitioned, spread, forbid, top)
             if parts is None:
                 G = member[1]
-                status, payload = classify_minimality(G, M)
+                status, payload = classify_minimality(G, W)
                 if status == "not-minimal":
                     raise InternalError(
                         f"{to_graph6(G)} has an obstructed deletion missing from its deck")
                 if status == "minimal":
-                    found.append((G, payload))
+                    found.append((member[0], G, payload))
                     continue
                 parts = bytes(payload.parts)
             if not top:  # no order reads the last one's parts
                 code = int.from_bytes(b"".join(map(codes.__getitem__, parts)), "little")
                 parts_now[member[0]] = (code, parts)
         partitioned = parts_now
+    if dual:
+        found.sort(key=lambda f: (f[1].n, generation(f[1].n, split)[3][f[0]]))
+        found = [(i, complement(G), ws) for i, G, ws in found]
     obstructions = tuple(
-        (intern(to_graph6(G)), _certificate(G, ws)) for G, ws in found)
+        (intern(to_graph6(G)), _certificate(G, ws)) for _, G, ws in found)
     return EnumerationReport(M, class_name, n_max, obstructions)
 
 

@@ -59,16 +59,25 @@ def oracle_report(M, class_name, n_max):
     return ob.EnumerationReport(M, class_name, n_max, obstructions)
 
 
+def own_candidates(class_name, n):
+    """(index, graph, deck) of the class's members on n vertices, in the
+    generation's order; the cobipartite ones are the complements of the
+    bipartite candidates, with their indices and decks."""
+    if class_name == "cobipartite":
+        return [(i, gr.complement(G), deck) for i, G, deck in ob._candidates("bipartite", n)[0]]
+    return ob._candidates(class_name, n)[0]
+
+
 def classify_open_report(M, class_name, n_max):
     """Enumeration that classifies every open candidate, whose whole deck
-    partitions, and keeps no witness to extend; unlike
+    partitions, under M itself, and keeps no witness to extend; unlike
     enumerate_minimal_obstructions it also enumerates pairs a part pattern
     decides."""
     found = []
     obstructed = set()
     for n in range(1, n_max + 1):
         now = set()
-        for i, G, deck in ob._candidates(class_name, n)[0]:
+        for i, G, deck in own_candidates(class_name, n):
             if not obstructed.isdisjoint(deck):
                 now.add(i)
                 continue
@@ -280,8 +289,9 @@ class TestEnumeration:
     @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
     def test_extension_matches_the_per_vertex_oracle(self, class_name, monkeypatch):
         # every open candidate's extension equals the one found vertex by
-        # vertex from the candidate's own adjacency (in cobipartite, the
-        # complement's); at the top order only whether one exists
+        # vertex from the candidate's own adjacency, under the matrix the
+        # walk runs (in cobipartite, the bipartite walk under the complement
+        # matrix); at the top order only whether one exists
         extend = ob._extend
         split = class_name == "split"
         outcomes = set()
@@ -289,7 +299,7 @@ class TestEnumeration:
         def checking(member, orders, partitioned, spread, forbid, top):
             got = extend(member, orders, partitioned, spread, forbid, top)
             i, G, deck = member
-            want = per_vertex_extend(G, deck, gr.generation(G.n, split)[2][i], partitioned, M)
+            want = per_vertex_extend(G, deck, gr.generation(G.n, split)[2][i], partitioned, W)
             if top:
                 assert (got is None) == (want is None)
             else:
@@ -299,6 +309,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(ob, "_extend", checking)
         for M in EXTEND_MATRICES:
+            W = pat.complement_matrix(M) if class_name == "cobipartite" else M
             ob.enumerate_minimal_obstructions(M, class_name, ob.CLASS_LIMITS[class_name])
         assert {m for m, _ in outcomes} == {2, 3, 4, 9}
         assert {extended for _, extended in outcomes} == {False, True}
@@ -335,9 +346,11 @@ class TestEnumeration:
     def test_candidates_arrive_in_catalog_order(self, class_name, monkeypatch):
         # the graphs of each order as enumeration takes them, at the limit
         # under "0", which no part pattern decides: their canonical forms
-        # strictly increase (in cobipartite, those of the complements it
-        # takes), and the walk visits them by position, so the obstructions
-        # arrive in catalog order unsorted
+        # strictly increase, and the walk visits them by position, so the
+        # obstructions arrive in catalog order unsorted.  cobipartite takes
+        # the bipartite candidates; the catalog order of their complements
+        # comes from the final sort, which
+        # test_cobipartite_is_complement_of_bipartite checks
         drawn = {}
         candidates = ob._candidates
 
@@ -359,10 +372,12 @@ class TestEnumeration:
         # each (parent, position) pair once, the positions sorted, one entry
         # per graph of the generation one order down; and the decks hold
         # distinct indices, so a count of partitionable parents equal to a
-        # deck's length means its whole deck partitions
+        # deck's length means its whole deck partitions.  cobipartite runs
+        # the bipartite walk, so it checks bipartite's candidates
         split = class_name == "split"
+        walk = "bipartite" if class_name == "cobipartite" else class_name
         for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
-            members, children, lens, _ = ob._candidates(class_name, n)
+            members, children, lens, _ = ob._candidates(walk, n)
             assert len(children) == len(gr.generation(n - 1, split)[0])
             assert all(len(set(deck)) == len(deck) for _, _, deck in members)
             assert list(lens) == [len(deck) for _, _, deck in members]
@@ -370,6 +385,12 @@ class TestEnumeration:
             assert edges == sorted((p, pos) for pos, (_, _, deck) in enumerate(members)
                                    for p in deck), n
             assert len(set(edges)) == len(edges)
+
+    def test_cobipartite_has_no_candidates_of_its_own(self):
+        # its walk is the bipartite one, so its candidates are never read,
+        # and a read of them is refused rather than given every graph
+        with pytest.raises(errors.InternalError, match="bipartite"):
+            ob._candidates("cobipartite", 3)
 
     def test_reports_of_one_pair_share_witnesses(self):
         # a second report of the same pair, made while the first is held,

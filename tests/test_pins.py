@@ -1,6 +1,6 @@
 """Byte pins: SHA-256 digests of solve and solve_split witnesses, of the
 canonical order, decks and packed orders of the generation table, and of
-one matrix's catalogs.
+the catalogs.
 
 The searches promise more than solvability: `solve` tries vertices by minimum
 remaining values with index tiebreak and parts lowest first, so its witness
@@ -119,3 +119,12 @@ def test_catalogs_at_the_class_limits():
     lines = [ob.report_to_json(ob.enumerate_minimal_obstructions(M, name, limit))
              for name, limit in sorted(ob.CLASS_LIMITS.items())]
     assert _digest(lines) == "eba4465196709dab526c080c04cf185291969744c3d55b07a51bc7a68bf90a6e"
+
+
+def test_every_catalog_at_the_class_limits():
+    # the JSON and TSV reports of the 228 matrices x 5 classes
+    lines = (out for M in _diag_star_free_matrices()
+             for name, limit in sorted(ob.CLASS_LIMITS.items())
+             for report in [ob.enumerate_minimal_obstructions(M, name, limit)]
+             for out in (ob.report_to_json(report), ob.report_to_tsv(report)))
+    assert _digest(lines) == "6d8cc7ae5080af6ce3cdb78b4d9bc8dbdafe4129635304c860e73ed77f54daa8"
