@@ -19,7 +19,6 @@ from . import obstruction as ob
 from . import pattern as pat
 from . import recognize as rec
 from . import solver as sv
-from . import verify as vf
 from .errors import MPartError
 from .graph import Graph, parse_edge_list, parse_graph6, to_graph6
 
@@ -171,6 +170,8 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf  # only this command reads it; the rest start without it
+
     results = vf.run_criteria(level=args.level)
     all_ok = True
     for r in results:

@@ -101,7 +101,8 @@ def classify_minimality(G: Graph, M: PatternMatrix):
 # graphs split into an independent set and a clique, two independent sets,
 # or two cliques.  A deck indexes the generation's own index space at order
 # n - 1, so every class must be hereditary: each G - v of a member is a
-# member.
+# member.  `_candidates` relies on it too: the member test sees only the
+# graphs whose whole deck is members, since no other graph can be one.
 _CLASSES = {
     "all": (MAX_ENUM_ALL, (STAR,), False, None, None),
     "split": (MAX_ENUM_SPLIT, (STAR, "01"), True, None, None),
@@ -123,13 +124,22 @@ def _candidates(class_name: str, n: int):
     decks.  lens[pos] is the length of candidates[pos]'s deck.  orders is
     the generation's: a block per deck parent of an order and the new
     vertex's neighbourhood byte.  A class that runs another's walk
-    (cobipartite) has no candidates and is refused."""
+    (cobipartite) has no candidates and is refused.
+
+    A class with a member test runs it only on the graphs whose whole deck
+    is members of order n - 1 (at n = 1 the deck is the graph on no vertex,
+    a member of every class).  The class is hereditary, so no other graph
+    is a member, and the members are exactly those the test alone admits;
+    the graphs that reach the test and fail it are the class's minimal
+    non-members, the holes in chordal and the odd cycles in bipartite."""
     _, _, split, test, dual = _CLASSES[class_name]
     if dual is not None:
         raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
     graphs, decks, orders, _ = generation(n, split)
+    if test is not None:
+        below = frozenset(i for i, _, _ in _candidates(class_name, n - 1)[0]) if n > 1 else {0}
     members = [(i, G, decks[i]) for i, G in enumerate(graphs)
-               if test is None or test(G) is not None]
+               if test is None or below.issuperset(decks[i]) and test(G) is not None]
     children = [[] for _ in generation(n - 1, split)[0]]
     for pos, (_, _, deck) in enumerate(members):
         for p in deck:

@@ -336,6 +336,8 @@ class TestDecks:
 
     @pytest.mark.parametrize("test", [rec.is_bipartite, rec.is_chordal])
     def test_hereditary_classes_keep_their_decks(self, test):
+        # obstruction._candidates relies on this: it runs a class's member
+        # test only on the graphs whose whole deck is members
         member = [[test(G) is not None for G in gr.enumerate_graphs(n)] for n in range(9)]
         for n in range(1, 9):
             for i, deck in enumerate(graph_decks(n)):

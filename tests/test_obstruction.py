@@ -350,9 +350,15 @@ class TestEnumeration:
         # obstructions arrive in catalog order unsorted.  cobipartite takes
         # the bipartite candidates; the catalog order of their complements
         # comes from the final sort, which
-        # test_cobipartite_is_complement_of_bipartite checks
+        # test_cobipartite_is_complement_of_bipartite checks.  The cache is
+        # warmed first: a cold _candidates of a class with a member test
+        # calls _candidates at n - 1, which would record an order the walk
+        # may not have drawn
         drawn = {}
         candidates = ob._candidates
+        limit = ob.CLASS_LIMITS[class_name]
+        for n in range(1, limit + 1):
+            candidates("bipartite" if class_name == "cobipartite" else class_name, n)
 
         def recording(name, n):
             got = candidates(name, n)
@@ -360,7 +366,6 @@ class TestEnumeration:
             return got
 
         monkeypatch.setattr(ob, "_candidates", recording)
-        limit = ob.CLASS_LIMITS[class_name]
         ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), class_name, limit)
         assert sorted(drawn) == list(range(1, limit + 1))
         for n, graphs in drawn.items():
@@ -391,6 +396,45 @@ class TestEnumeration:
         # and a read of them is refused rather than given every graph
         with pytest.raises(errors.InternalError, match="bipartite"):
             ob._candidates("cobipartite", 3)
+
+    @pytest.mark.parametrize("class_name", ["bipartite", "chordal"])
+    def test_members_are_the_recognizers_at_the_full_range(self, class_name):
+        # the member test sees only the graphs whose whole deck is members;
+        # by heredity the members are still every graph the recognizer
+        # admits, at every order up to the class limit
+        for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
+            want = [G for G in gr.generation(n, False)[0]
+                    if rec.RECOGNIZERS[class_name](G) is not None]
+            assert [G for _, G, _ in ob._candidates(class_name, n)[0]] == want, n
+
+    @pytest.mark.parametrize("class_name, calls", [("bipartite", 455), ("chordal", 2655)])
+    def test_member_test_sees_members_and_minimal_non_members(self, class_name, calls,
+                                                              monkeypatch):
+        # of the 13,598 graphs with n <= 8, the member test sees the members
+        # and the graphs whose deletions are all members but which are not:
+        # the class's minimal non-members, at order n the n-cycle, a hole
+        # (n >= 4) in chordal (Dirac) and an odd cycle in bipartite (König)
+        limit, patterns, split, test, dual = ob._CLASSES[class_name]
+        tested = {}
+
+        def counting(G):
+            got = test(G)
+            tested.setdefault(G.n, []).append((G, got is not None))
+            return got
+
+        monkeypatch.setitem(ob._CLASSES, class_name, (limit, patterns, split, counting, dual))
+        ob._candidates.cache_clear()
+        try:
+            for n in range(1, limit + 1):
+                ob._candidates(class_name, n)
+        finally:
+            ob._candidates.cache_clear()
+        assert sorted(tested) == list(range(1, limit + 1))
+        assert sum(map(len, tested.values())) == calls
+        for n, seen in tested.items():
+            rejected = [aug.canonical_form(G) for G, member in seen if not member]
+            hole = n >= 4 if class_name == "chordal" else n >= 3 and n % 2 == 1
+            assert rejected == ([aug.canonical_form(gr.cycle(n))] if hole else []), n
 
     def test_reports_of_one_pair_share_witnesses(self):
         # a second report of the same pair, made while the first is held,
@@ -456,6 +500,7 @@ class TestClassPatterns:
 
     def test_coverage(self, monkeypatch):
         # a pair is decided iff enumeration takes no candidates, not even K1's
+        # (_candidates at n = 1 makes no call of its own at n - 1)
         drawn = []
         candidates = ob._candidates
         monkeypatch.setattr(ob, "_candidates", lambda class_name, n: (
