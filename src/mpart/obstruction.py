@@ -34,17 +34,11 @@ from .solver import PartAssignment, solve
 
 @dataclass(frozen=True)
 class MinimalityCertificate:
-    """Weakly referenceable, so that a weak table can share equal
-    certificates (_CERTIFICATES)."""
+    """A minimal obstruction and a witness for each of its deletions.  Equal
+    certificates are shared through a weak table (_CERTIFICATES)."""
 
-    # slots=True, weakref_slot=True by hand: Python 3.10 has no weakref_slot
-    __slots__ = ("graph", "witnesses", "__weakref__")
     graph: Graph
     witnesses: tuple[PartAssignment, ...]  # witnesses[v] partitions graph - v
-
-    def __reduce__(self):
-        # a frozen instance refuses pickle's default setattr of its slots
-        return MinimalityCertificate, (self.graph, self.witnesses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,10 +93,11 @@ def classify_minimality(G: Graph, M: PatternMatrix):
 # (enumerate_minimal_obstructions), having no candidates of its own, or
 # None).  Every graph has the pattern "*"; split, bipartite and cobipartite
 # graphs split into an independent set and a clique, two independent sets,
-# or two cliques.  A deck indexes the generation's own index space at order
-# n - 1, so every class must be hereditary: each G - v of a member is a
-# member.  `_candidates` relies on it too: the member test sees only the
-# graphs whose whole deck is members, since no other graph can be one.
+# or two cliques.  Enumeration runs in the generation's own indices, and a
+# deck holds indices of the generation at order n - 1, so every class must
+# be hereditary: each G - v of a member is a member.  `_candidates` relies
+# on it too: the member test sees only the graphs whose whole deck is
+# members, since no other graph can be one.
 _CLASSES = {
     "all": (MAX_ENUM_ALL, (STAR,), False, None, None),
     "split": (MAX_ENUM_SPLIT, (STAR, "01"), True, None, None),
@@ -115,16 +110,14 @@ CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
 
 @cache
 def _candidates(class_name: str, n: int):
-    """(candidates, children, lens, orders) of the class on n >= 1 vertices.
+    """(members, children, lens) of the class on n >= 1 vertices, all in
+    the indices of `generation(n, split)`.
 
-    candidates is a tuple of (index, graph, deck), the generation's, of
-    the members in the generation's order.  children[p], for each index p
-    of the generation on n - 1 vertices, is the sorted tuple of the
-    positions in candidates of those whose deck holds p: the inverse of the
-    decks.  lens[pos] is the length of candidates[pos]'s deck.  orders is
-    the generation's: a block per deck parent of an order and the new
-    vertex's neighbourhood byte.  A class that runs another's walk
-    (cobipartite) has no candidates and is refused.
+    members is the sorted tuple of the indices of the class's members.
+    children[p], for each index p of the generation on n - 1 vertices, is
+    the sorted tuple of the members whose deck holds p: the inverse of the
+    members' decks.  lens[i] is the length of graph i's deck.  A class that
+    runs another's walk (cobipartite) has no candidates and is refused.
 
     A class with a member test runs it only on the graphs whose whole deck
     is members of order n - 1 (at n = 1 the deck is the graph on no vertex,
@@ -135,17 +128,16 @@ def _candidates(class_name: str, n: int):
     _, _, split, test, dual = _CLASSES[class_name]
     if dual is not None:
         raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
-    graphs, decks, orders, _ = generation(n, split)
+    graphs, decks, _, _ = generation(n, split)
     if test is not None:
-        below = frozenset(i for i, _, _ in _candidates(class_name, n - 1)[0]) if n > 1 else {0}
-    members = [(i, G, decks[i]) for i, G in enumerate(graphs)
-               if test is None or below.issuperset(decks[i]) and test(G) is not None]
+        below = frozenset(_candidates(class_name, n - 1)[0]) if n > 1 else {0}
+    members = tuple(i for i, G in enumerate(graphs)
+                    if test is None or below.issuperset(decks[i]) and test(G) is not None)
     children = [[] for _ in generation(n - 1, split)[0]]
-    for pos, (_, _, deck) in enumerate(members):
-        for p in deck:
-            children[p].append(pos)
-    lens = bytes(len(deck) for _, _, deck in members)
-    return tuple(members), tuple(map(tuple, children)), lens, orders
+    for i in members:
+        for p in decks[i]:
+            children[p].append(i)
+    return members, tuple(map(tuple, children)), bytes(map(len, decks))
 
 
 def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
@@ -188,22 +180,19 @@ def _forbidden(M: PatternMatrix, ones: int) -> tuple[int, ...]:
                  for adj_ok, nonadj_ok in zip(*M.masks))
 
 
-def _extend(member, orders, partitioned, spread, forbid, top: bool):
-    """Parts of the candidate member, one byte per vertex, from the first
-    deck parent whose parts extend to the vertex the parent lacks, or None
-    when none does.  Nothing reads the parts at the top order, so none are
-    built there, and an extending candidate gets b"".
+def _extend(deck, packed, n, partitioned, spread, forbid, top: bool):
+    """Parts of a candidate on n vertices, one byte per vertex, from the
+    first parent in its deck whose parts extend to the vertex the parent
+    lacks, or None when none does.  Nothing reads the parts at the top
+    order, so none are built there, and an extending candidate gets b"".
 
     partitioned maps each partitionable parent to (code, parts), with code
-    as `_layout` encodes parts.  The member's orders (`_candidates`) give
-    the new vertex's neighbourhood nb in the parent's numbering, so code &
-    spread[nb] holds the parts of its neighbours and of its non-neighbours,
-    and the new vertex takes the lowest part q whose forbid[q]
-    (`_forbidden`) holds none of them.  The parent's parts carry over
-    through the order `generation` keeps for it."""
-    i, G, deck = member
-    packed = orders[i]
-    n = G.n
+    as `_layout` encodes parts.  packed, the candidate's entry of the
+    generation's orders, gives the new vertex's neighbourhood nb in the
+    parent's numbering, so code & spread[nb] holds the parts of its
+    neighbours and of its non-neighbours, and the new vertex takes the
+    lowest part q whose forbid[q] (`_forbidden`) holds none of them.  The
+    parent's parts carry over through the order `generation` keeps for it."""
     for j, p in enumerate(deck):
         code, parts = partitioned[p]
         end = j * (n + 1) + n  # the block's nb
@@ -218,26 +207,12 @@ def _extend(member, orders, partitioned, spread, forbid, top: bool):
     return None
 
 
-# equal witnesses, and equal certificates, are one object while anything
-# holds them; the tables hold them weakly, like pattern._LIVE, so one that
-# nothing else holds is freed
-_WITNESSES: weakref.WeakValueDictionary[tuple[int, ...], PartAssignment] = \
-    weakref.WeakValueDictionary()
+# equal certificates are one object while anything holds them; the table
+# holds them weakly, like pattern._LIVE, so one that nothing else holds is
+# freed
 _CERTIFICATES: weakref.WeakValueDictionary[
     tuple[Graph, tuple[PartAssignment, ...]], MinimalityCertificate] = \
     weakref.WeakValueDictionary()
-
-
-def _shared(w: PartAssignment) -> PartAssignment:
-    """The live witness with w's parts: w itself if there is none."""
-    return _WITNESSES.setdefault(w.parts, w)
-
-
-def _certificate(G: Graph, ws) -> MinimalityCertificate:
-    """The live certificate of G with witnesses ws, its witnesses shared:
-    a new one if there is none."""
-    ws = tuple(map(_shared, ws))
-    return _CERTIFICATES.setdefault((G, ws), MinimalityCertificate(G, ws))
 
 
 def enumerate_minimal_obstructions(
@@ -273,11 +248,11 @@ def enumerate_minimal_obstructions(
     extended candidate is partitionable, which emits nothing; every other
     one is classified as before; and a minimal obstruction's witnesses come
     from `solve(delete_vertex(G, v))`, never from kept parts.  Open
-    candidates are visited by position, in the generation's order, so the
-    obstructions arrive in catalog order.  Equal witnesses and equal
-    certificates are one object while anything holds them, across reports
-    too (`_shared`, `_certificate`), and graph6 strings are interned.
-    jobs is accepted for compatibility and ignored.
+    candidates are visited by index, in the generation's order, so the
+    obstructions arrive in catalog order.  Equal certificates, and so their
+    witnesses, are one object while anything holds them, across reports
+    too (`_CERTIFICATES`), and graph6 strings are interned.  jobs is
+    accepted for compatibility and ignored.
 
     cobipartite runs bipartite's walk under complement_matrix(M): a graph's
     complement has an M-partition exactly when the graph has a
@@ -303,35 +278,36 @@ def enumerate_minimal_obstructions(
     # index; the graph on no vertex partitions
     partitioned = {0: (0, b"")}
     for n in range(1, n_max + 1):
-        candidates, children, lens, orders = _candidates(walk, n)
+        graphs, decks, orders, _ = generation(n, split)
+        _, children, lens = _candidates(walk, n)
         top = n == n_max
-        # position -> the number of partitionable graphs in its deck; the
-        # open candidates have them all, the others an obstructed deletion
+        # index -> the number of partitionable graphs in its deck; the open
+        # candidates have them all, the others an obstructed deletion
         reached = Counter(chain.from_iterable(map(children.__getitem__, partitioned)))
         full = map(eq, reached.values(), map(lens.__getitem__, reached))
         parts_now: dict[int, tuple[int, bytes]] = {}
-        for pos in sorted(compress(reached, full)):
-            member = candidates[pos]
-            parts = _extend(member, orders, partitioned, spread, forbid, top)
+        for i in sorted(compress(reached, full)):
+            parts = _extend(decks[i], orders[i], n, partitioned, spread, forbid, top)
             if parts is None:
-                G = member[1]
+                G = graphs[i]
                 status, payload = classify_minimality(G, W)
                 if status == "not-minimal":
                     raise InternalError(
                         f"{to_graph6(G)} has an obstructed deletion missing from its deck")
                 if status == "minimal":
-                    found.append((member[0], G, payload))
+                    found.append((i, G, payload))
                     continue
                 parts = bytes(payload.parts)
             if not top:  # no order reads the last one's parts
                 code = int.from_bytes(b"".join(map(codes.__getitem__, parts)), "little")
-                parts_now[member[0]] = (code, parts)
+                parts_now[i] = (code, parts)
         partitioned = parts_now
     if dual:
         found.sort(key=lambda f: (f[1].n, generation(f[1].n, split)[3][f[0]]))
         found = [(i, complement(G), ws) for i, G, ws in found]
     obstructions = tuple(
-        (intern(to_graph6(G)), _certificate(G, ws)) for _, G, ws in found)
+        (intern(to_graph6(G)), _CERTIFICATES.setdefault((G, ws), MinimalityCertificate(G, ws)))
+        for _, G, ws in found)
     return EnumerationReport(M, class_name, n_max, obstructions)
 
 

@@ -64,18 +64,11 @@ from .graph import Graph
 from .pattern import ONE, STAR, PatternMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartAssignment:
-    """Total map vertex -> part index.  Weakly referenceable, so that a weak
-    table can share equal witnesses (obstruction._WITNESSES)."""
+    """Total map vertex -> part index."""
 
-    # slots=True, weakref_slot=True by hand: Python 3.10 has no weakref_slot
-    __slots__ = ("parts", "__weakref__")
     parts: tuple[int, ...]
-
-    def __reduce__(self):
-        # a frozen instance refuses pickle's default setattr of its slots
-        return PartAssignment, (self.parts,)
 
 
 def validate(G: Graph, M: PatternMatrix, parts) -> bool:

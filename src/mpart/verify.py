@@ -116,11 +116,12 @@ def check_class_patterns():
     matrices = _diag_star_free_matrices()
     failures = 0
     details = []
-    for class_name, (limit, patterns, _, _, dual) in ob._CLASSES.items():
+    for class_name, (limit, patterns, split, _, dual) in ob._CLASSES.items():
         for pattern in (p for p in patterns if len(p) == 2):
             own = pat.make_matrix([pattern[0] + pat.STAR, pat.STAR + pattern[1]])
             members = [gr.complement(G) if dual else G for n in range(1, limit + 1)
-                       for _, G, _ in ob._candidates(dual or class_name, n)[0]]
+                       for G in map(gr.generation(n, split)[0].__getitem__,
+                                    ob._candidates(dual or class_name, n)[0])]
             sides = [(G, rec.RECOGNIZERS[class_name](G)) for G in members]
             failures += sum(side is None or not sv.validate(G, own, side) for G, side in sides)
             pairs = [M.star_blocks[pattern] + (M,) for M in matrices if pattern in M.star_blocks]

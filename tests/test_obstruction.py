@@ -60,12 +60,13 @@ def oracle_report(M, class_name, n_max):
 
 
 def own_candidates(class_name, n):
-    """(index, graph, deck) of the class's members on n vertices, in the
+    """(index, graph) of the class's members on n vertices, in the
     generation's order; the cobipartite ones are the complements of the
-    bipartite candidates, with their indices and decks."""
+    bipartite members, at their indices."""
+    graphs = gr.generation(n, class_name == "split")[0]
     if class_name == "cobipartite":
-        return [(i, gr.complement(G), deck) for i, G, deck in ob._candidates("bipartite", n)[0]]
-    return ob._candidates(class_name, n)[0]
+        return [(i, gr.complement(graphs[i])) for i in ob._candidates("bipartite", n)[0]]
+    return [(i, graphs[i]) for i in ob._candidates(class_name, n)[0]]
 
 
 def classify_open_report(M, class_name, n_max):
@@ -77,8 +78,9 @@ def classify_open_report(M, class_name, n_max):
     obstructed = set()
     for n in range(1, n_max + 1):
         now = set()
-        for i, G, deck in own_candidates(class_name, n):
-            if not obstructed.isdisjoint(deck):
+        decks = gr.generation(n, class_name == "split")[1]
+        for i, G in own_candidates(class_name, n):
+            if not obstructed.isdisjoint(decks[i]):
                 now.add(i)
                 continue
             status, payload = ob.classify_minimality(G, M)
@@ -262,14 +264,6 @@ class TestEnumeration:
             assert ob.report_to_json(report) == \
                 ob.report_to_json(classify_open_report(M, class_name, n_max))
 
-    def test_equal_witnesses_are_one_object(self):
-        report = ob.enumerate_minimal_obstructions(pat.parse_matrix("0**;*0*;**0"), "all", 7)
-        witnesses = [w for _, cert in report.obstructions for w in cert.witnesses]
-        first = {}
-        for w in witnesses:
-            assert first.setdefault(w.parts, w) is w
-        assert len(first) < len(witnesses)
-
     def test_only_open_candidates_are_classified(self, monkeypatch):
         # a candidate reaches classify_minimality only if no deletion is obstructed
         M = pat.make_kl_matrix(2, 0)
@@ -291,15 +285,22 @@ class TestEnumeration:
         # every open candidate's extension equals the one found vertex by
         # vertex from the candidate's own adjacency, under the matrix the
         # walk runs (in cobipartite, the bipartite walk under the complement
-        # matrix); at the top order only whether one exists
+        # matrix); at the top order only whether one exists.  A deck parent,
+        # its order and the new vertex's neighbourhood determine the graph,
+        # so a graph's deck and packed orders find its index
         extend = ob._extend
         split = class_name == "split"
+        limit = ob.CLASS_LIMITS[class_name]
+        index = [{(tuple(deck), packed): i for i, (deck, packed)
+                  in enumerate(zip(*gr.generation(n, split)[1:3]))} for n in range(limit + 1)]
+        assert [len(ix) for ix in index] == [len(gr.generation(n, split)[0])
+                                             for n in range(limit + 1)]
         outcomes = set()
 
-        def checking(member, orders, partitioned, spread, forbid, top):
-            got = extend(member, orders, partitioned, spread, forbid, top)
-            i, G, deck = member
-            want = per_vertex_extend(G, deck, gr.generation(G.n, split)[2][i], partitioned, W)
+        def checking(deck, packed, n, partitioned, spread, forbid, top):
+            got = extend(deck, packed, n, partitioned, spread, forbid, top)
+            want = per_vertex_extend(gr.generation(n, split)[0][index[n][tuple(deck), packed]],
+                                     deck, packed, partitioned, W)
             if top:
                 assert (got is None) == (want is None)
             else:
@@ -310,33 +311,35 @@ class TestEnumeration:
         monkeypatch.setattr(ob, "_extend", checking)
         for M in EXTEND_MATRICES:
             W = pat.complement_matrix(M) if class_name == "cobipartite" else M
-            ob.enumerate_minimal_obstructions(M, class_name, ob.CLASS_LIMITS[class_name])
+            ob.enumerate_minimal_obstructions(M, class_name, limit)
         assert {m for m, _ in outcomes} == {2, 3, 4, 9}
         assert {extended for _, extended in outcomes} == {False, True}
 
     def test_a_deck_missing_an_obstructed_deletion_raises_internal_error(self, monkeypatch):
         # K3 + K1 is obstructed but not minimal under 2-colouring.  With K3,
         # the last entry, dropped from its deck (and its block from the
-        # packed orders), the one graph left there, K2 + K1, partitions, so
-        # the walk reaches K3 + K1 as open, no witness extends, and
-        # classify_minimality finds the obstructed deletion
+        # packed orders, and its length from lens), the one graph left
+        # there, K2 + K1, partitions, so the walk reaches K3 + K1 as open,
+        # no witness extends, and classify_minimality finds the obstructed
+        # deletion
+        graphs, decks, orders, complements = gr.generation(4, False)
         k3 = [aug.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
             aug.canonical_form(gr.complete(3)))
-        k3_k1 = aug.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1)))
-        candidates = ob._candidates
+        i = [aug.canonical_form(G) for G in graphs].index(
+            aug.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1))))
+        assert len(decks[i]) == 2 and decks[i][-1] == k3
+        decks, orders = list(decks), list(orders)
+        decks[i], orders[i] = decks[i][:-1], orders[i][:5]
+        generation, candidates = ob.generation, ob._candidates
+        monkeypatch.setattr(ob, "generation", lambda n, split: (
+            (graphs, decks, orders, complements) if (n, split) == (4, False)
+            else generation(n, split)))
 
         def incomplete(class_name, n):
-            members, children, lens, orders = candidates(class_name, n)
+            members, children, lens = candidates(class_name, n)
             if n == 4:
-                patched, orders = [], list(orders)
-                for i, G, deck in members:
-                    if aug.canonical_form(G) == k3_k1:
-                        assert len(deck) == 2 and deck[-1] == k3
-                        deck, orders[i] = deck[:-1], orders[i][:n + 1]
-                    patched.append((i, G, deck))
-                members = tuple(patched)
-                lens = bytes(len(deck) for _, _, deck in members)
-            return members, children, lens, orders
+                lens = lens[:i] + bytes((lens[i] - 1,)) + lens[i + 1:]
+            return members, children, lens
 
         monkeypatch.setattr(ob, "_candidates", incomplete)
         with pytest.raises(errors.InternalError):
@@ -344,9 +347,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
     def test_candidates_arrive_in_catalog_order(self, class_name, monkeypatch):
-        # the graphs of each order as enumeration takes them, at the limit
-        # under "0", which no part pattern decides: their canonical forms
-        # strictly increase, and the walk visits them by position, so the
+        # the members of each order as enumeration takes them, at the limit
+        # under "0", which no part pattern decides: their indices, and the
+        # canonical forms of their graphs, strictly increase, and the walk
+        # visits them by index, so the
         # obstructions arrive in catalog order unsorted.  cobipartite takes
         # the bipartite candidates; the catalog order of their complements
         # comes from the final sort, which
@@ -356,39 +360,43 @@ class TestEnumeration:
         # may not have drawn
         drawn = {}
         candidates = ob._candidates
+        split = class_name == "split"
         limit = ob.CLASS_LIMITS[class_name]
         for n in range(1, limit + 1):
             candidates("bipartite" if class_name == "cobipartite" else class_name, n)
 
         def recording(name, n):
             got = candidates(name, n)
-            drawn[n] = [G for _, G, _ in got[0]]
+            drawn[n] = got[0]
             return got
 
         monkeypatch.setattr(ob, "_candidates", recording)
         ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), class_name, limit)
         assert sorted(drawn) == list(range(1, limit + 1))
-        for n, graphs in drawn.items():
-            forms = [aug.canonical_form(G) for G in graphs]
-            assert forms and all(a < b for a, b in zip(forms, forms[1:])), n
+        for n, members in drawn.items():
+            assert members and all(a < b for a, b in zip(members, members[1:])), n
+            graphs = gr.generation(n, split)[0]
+            forms = [aug.canonical_form(graphs[i]) for i in members]
+            assert all(a < b for a, b in zip(forms, forms[1:])), n
 
     @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
     def test_children_invert_the_decks(self, class_name):
-        # each (parent, position) pair once, the positions sorted, one entry
-        # per graph of the generation one order down; and the decks hold
-        # distinct indices, so a count of partitionable parents equal to a
-        # deck's length means its whole deck partitions.  cobipartite runs
-        # the bipartite walk, so it checks bipartite's candidates
+        # each (parent, member) pair once, the members sorted, one entry
+        # per graph of the generation one order down, all in the
+        # generation's indices; and the decks hold distinct indices, so a
+        # count of partitionable parents equal to a deck's length means its
+        # whole deck partitions.  cobipartite runs the bipartite walk, so it
+        # checks bipartite's candidates
         split = class_name == "split"
         walk = "bipartite" if class_name == "cobipartite" else class_name
         for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
-            members, children, lens, _ = ob._candidates(walk, n)
+            decks = gr.generation(n, split)[1]
+            members, children, lens = ob._candidates(walk, n)
             assert len(children) == len(gr.generation(n - 1, split)[0])
-            assert all(len(set(deck)) == len(deck) for _, _, deck in members)
-            assert list(lens) == [len(deck) for _, _, deck in members]
-            edges = [(p, pos) for p, positions in enumerate(children) for pos in positions]
-            assert edges == sorted((p, pos) for pos, (_, _, deck) in enumerate(members)
-                                   for p in deck), n
+            assert all(len(set(deck)) == len(deck) for deck in decks)
+            assert list(lens) == [len(deck) for deck in decks]
+            edges = [(p, i) for p, kids in enumerate(children) for i in kids]
+            assert edges == sorted((p, i) for i in members for p in decks[i]), n
             assert len(set(edges)) == len(edges)
 
     def test_cobipartite_has_no_candidates_of_its_own(self):
@@ -401,11 +409,18 @@ class TestEnumeration:
     def test_members_are_the_recognizers_at_the_full_range(self, class_name):
         # the member test sees only the graphs whose whole deck is members;
         # by heredity the members are still every graph the recognizer
-        # admits, at every order up to the class limit
+        # admits, at every order up to the class limit.  From the first
+        # minimal non-member's order on (K3's in bipartite, C4's in chordal)
+        # some graph is not a member, so a member's index in the generation
+        # and its position among the members differ
+        first = 3 if class_name == "bipartite" else 4
         for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
-            want = [G for G in gr.generation(n, False)[0]
+            graphs = gr.generation(n, False)[0]
+            want = [i for i, G in enumerate(graphs)
                     if rec.RECOGNIZERS[class_name](G) is not None]
-            assert [G for _, G, _ in ob._candidates(class_name, n)[0]] == want, n
+            members = ob._candidates(class_name, n)[0]
+            assert list(members) == want, n
+            assert (set(members) < set(range(len(graphs)))) == (n >= first), n
 
     @pytest.mark.parametrize("class_name, calls", [("bipartite", 455), ("chordal", 2655)])
     def test_member_test_sees_members_and_minimal_non_members(self, class_name, calls,
