@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / verified, 1 legitimate negative answer, 2 usage or
-input error, 3 indeterminate (timeout).  Machine-parseable output goes to
-stdout, diagnostics to stderr.
+input error, 3 indeterminate (timeout), 4 a fault inside mpart, such as a
+damaged or missing generation.bin or a broken invariant.  Machine-parseable
+output goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import obstruction as ob
 from . import pattern as pat
 from . import recognize as rec
 from . import solver as sv
-from .errors import MPartError
+from .errors import InternalError, MPartError
 from .graph import Graph, parse_edge_list, parse_graph6, to_graph6
 
 
@@ -251,9 +252,17 @@ def main(argv=None) -> int:
     except _Timeout:
         print(json.dumps({"result": "indeterminate", "reason": "timeout"}))
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (MPartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only a fault reads it
+
+        traceback.print_exc()
+        return 4
     finally:
         if timeout:
             signal.setitimer(signal.ITIMER_REAL, 0)

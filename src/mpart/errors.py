@@ -1,61 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""The package's two exceptions, one per CLI exit code."""
 
 
 class MPartError(Exception):
-    """Base class for the errors that bad input or parameters raise."""
+    """Bad input or parameters: the CLI prints `error: <message>` and exits 2."""
 
 
 class InternalError(RuntimeError):
-    """A broken invariant of the engine: a bug, not bad input, so the CLI
-    lets it surface as a traceback rather than an input error."""
-
-
-# pattern matrix errors
-class NotSquare(MPartError):
-    pass
-
-
-class NotSymmetric(MPartError):
-    pass
-
-
-class BadCharacter(MPartError):
-    pass
-
-
-class DiagonalStar(MPartError):
-    pass
-
-
-class BadParameters(MPartError):
-    pass
-
-
-# graph errors
-class SelfLoop(MPartError):
-    pass
-
-
-class VertexOutOfRange(MPartError):
-    pass
-
-
-class MalformedGraph6(MPartError):
-    pass
-
-
-class TooLarge(MPartError):
-    pass
-
-
-# solver / recognition errors
-class NotSplit(MPartError):
-    pass
-
-
-class PartOutOfRange(MPartError):
-    pass
-
-
-class PartNotUniform(MPartError):
-    pass
+    """A fault inside mpart, not bad input: a broken invariant of the engine
+    or a damaged or missing `generation.bin`.  The CLI prints
+    `internal error: <message>` and exits 4."""

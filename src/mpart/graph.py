@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import BadParameters, MalformedGraph6, SelfLoop, TooLarge, VertexOutOfRange
+from .errors import InternalError, MPartError
 
 MAX_VERTICES = 64
 MAX_ENUM_ALL = 8
@@ -44,13 +44,13 @@ class Graph:
 
 def from_edges(n: int, edges) -> Graph:
     if n < 0 or n > MAX_VERTICES:
-        raise BadParameters(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        raise MPartError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
         if u == v:
-            raise SelfLoop(f"self loop at vertex {u}")
+            raise MPartError(f"self loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
+            raise MPartError(f"edge ({u},{v}) outside 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
@@ -62,7 +62,7 @@ def from_edges(n: int, edges) -> Graph:
 
 def to_graph6(G: Graph) -> str:
     if G.n > 62:
-        raise TooLarge(f"short-form graph6 supports n <= 62, got {G.n}")
+        raise MPartError(f"short-form graph6 supports n <= 62, got {G.n}")
     out = [chr(G.n + 63)]
     bits = 0
     nbits = 0
@@ -83,23 +83,23 @@ def parse_graph6(s: str) -> Graph:
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
-        raise MalformedGraph6("empty string")
+        raise MPartError("empty string")
     n = ord(s[0]) - 63
     if not (0 <= n <= 62):
-        raise MalformedGraph6(f"unsupported order byte {s[0]!r}")
+        raise MPartError(f"unsupported order byte {s[0]!r}")
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
     body = s[1:]
     if len(body) != need:
-        raise MalformedGraph6(f"expected {need} data bytes for n={n}, got {len(body)}")
+        raise MPartError(f"expected {need} data bytes for n={n}, got {len(body)}")
     bits = []
     for ch in body:
         val = ord(ch) - 63
         if not (0 <= val < 64):
-            raise MalformedGraph6(f"invalid data byte {ch!r}")
+            raise MPartError(f"invalid data byte {ch!r}")
         bits.extend((val >> k) & 1 for k in range(5, -1, -1))
     if any(bits[npairs:]):
-        raise MalformedGraph6("nonzero padding bits")
+        raise MPartError("nonzero padding bits")
     adj = [0] * n
     idx = 0
     for j in range(1, n):
@@ -123,14 +123,14 @@ def complement(G: Graph) -> Graph:
 def delete_vertex(G: Graph, v: int) -> Graph:
     """G - v: the vertices above v move down by one, each row's bits with them."""
     if not (0 <= v < G.n):
-        raise VertexOutOfRange(f"vertex {v} outside 0..{G.n - 1}")
+        raise MPartError(f"vertex {v} outside 0..{G.n - 1}")
     low = (1 << v) - 1
     return Graph(G.n - 1, tuple(r & low | r >> 1 & ~low for r in G.adj[:v] + G.adj[v + 1:]))
 
 
 def empty(n: int) -> Graph:
     if n < 0 or n > MAX_VERTICES:
-        raise BadParameters(f"bad order {n}")
+        raise MPartError(f"bad order {n}")
     return Graph(n, (0,) * n)
 
 
@@ -144,13 +144,13 @@ def path(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise BadParameters(f"cycle needs n >= 3, got {n}")
+        raise MPartError(f"cycle needs n >= 3, got {n}")
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def disjoint_union(G: Graph, H: Graph) -> Graph:
     if G.n + H.n > MAX_VERTICES:
-        raise BadParameters("union exceeds the vertex cap")
+        raise MPartError("union exceeds the vertex cap")
     adj = list(G.adj) + [row << G.n for row in H.adj]
     return Graph(G.n + H.n, tuple(adj))
 
@@ -174,13 +174,23 @@ def _section(n: int, split: bool) -> tuple[bytes, int]:
     holds N bytes, the length of each deck, then little-endian 16-bit words:
     the N * n rows of adjacency, graph by graph, the N indices of the
     graphs' complements, and every deck's entries, deck by deck; then the
-    packed orders, graph by graph."""
+    packed orders, graph by graph.  A table that cannot be read, or a
+    section whose length does not fit its count, raises InternalError."""
     k = (MAX_ENUM_ALL if split else 0) + n - 1
-    with open(_TABLE, "rb") as f:
-        head = struct.unpack(f"<{2 * _SECTIONS}I", f.read(8 * _SECTIONS))
-        start = head[k - 1] if k else 8 * _SECTIONS
-        f.seek(start)
-        return zlib.decompress(f.read(head[k] - start)), head[_SECTIONS + k]
+    where = f"the {'split ' if split else ''}graphs of order {n} in {_TABLE}"
+    try:
+        with open(_TABLE, "rb") as f:
+            head = struct.unpack(f"<{2 * _SECTIONS}I", f.read(8 * _SECTIONS))
+            start = head[k - 1] if k else 8 * _SECTIONS
+            f.seek(start)
+            payload = zlib.decompress(f.read(head[k] - start))
+    except (OSError, struct.error, zlib.error) as exc:
+        raise InternalError(f"cannot read {where}: {exc}") from exc
+    count = head[_SECTIONS + k]
+    entries = sum(payload[:count])
+    if len(payload) != count + 2 * (count * (n + 1) + entries) + entries * (n + 1):
+        raise InternalError(f"{where}: {len(payload)} bytes do not fit a count of {count} graphs")
+    return payload, count
 
 
 @cache
@@ -214,9 +224,9 @@ def generation(n: int, split: bool) -> tuple[
     """
     limit = MAX_ENUM_SPLIT if split else MAX_ENUM_ALL
     if n > limit:
-        raise TooLarge(f"n={n} above the {'split ' if split else ''}enumeration limit {limit}")
+        raise MPartError(f"n={n} above the {'split ' if split else ''}enumeration limit {limit}")
     if n < 0:
-        raise BadParameters("negative order")
+        raise MPartError("negative order")
     if n == 0:
         return (Graph(0, ()),), ((),), (b"",), (0,)
     payload, count = _section(n, split)
@@ -258,7 +268,7 @@ def parse_edge_list(text: str) -> Graph:
     try:
         n = int(head.strip())
     except ValueError as exc:
-        raise BadParameters(f"bad vertex count {head.strip()!r}") from exc
+        raise MPartError(f"bad vertex count {head.strip()!r}") from exc
     edges = []
     for tok in rest.split(","):
         tok = tok.strip()
@@ -268,5 +278,5 @@ def parse_edge_list(text: str) -> Graph:
         try:
             edges.append((int(u), int(v)))
         except ValueError as exc:
-            raise BadParameters(f"bad edge token {tok!r}") from exc
+            raise MPartError(f"bad edge token {tok!r}") from exc
     return from_edges(n, edges)

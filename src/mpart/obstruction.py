@@ -15,7 +15,7 @@ from operator import eq
 from pathlib import Path
 from sys import intern
 
-from .errors import BadParameters, InternalError, TooLarge
+from .errors import InternalError, MPartError
 from .graph import (
     MAX_ENUM_ALL,
     MAX_ENUM_SPLIT,
@@ -262,12 +262,12 @@ def enumerate_minimal_obstructions(
     their class, its complements column.
     """
     if class_name not in _CLASSES:
-        raise BadParameters(f"unknown class {class_name!r}")
+        raise MPartError(f"unknown class {class_name!r}")
     limit, _, split, _, dual = _CLASSES[class_name]
     if n_max > limit:
-        raise TooLarge(f"n_max={n_max} above the {class_name} limit {limit}")
+        raise MPartError(f"n_max={n_max} above the {class_name} limit {limit}")
     if n_max < 0:
-        raise BadParameters(f"n_max={n_max} is negative")
+        raise MPartError(f"n_max={n_max} is negative")
     if decided_by_pattern(M, class_name):
         return EnumerationReport(M, class_name, n_max, ())
     walk, W = (dual, complement_matrix(M)) if dual else (class_name, M)
@@ -325,11 +325,11 @@ def construct_theorem5(n: int) -> tuple[PatternMatrix, Graph]:
     that subset.
     """
     if n < 1:
-        raise BadParameters("need n >= 1")
+        raise MPartError("need n >= 1")
     # the 4n + 1 fixed vertices are tested first, so a huge n is refused
     # without computing, or formatting, a huge binomial
     if 4 * n + 1 > MAX_VERTICES or (total := theorem5_size(n)) > MAX_VERTICES:
-        raise BadParameters(f"n={n} needs more than {MAX_VERTICES} vertices (need n <= 3)")
+        raise MPartError(f"n={n} needs more than {MAX_VERTICES} vertices (need n <= 3)")
     M = make_m_kt(2 * n + 1, n)
     edges = []
     B = list(range(1, 2 * n + 1))
@@ -354,9 +354,9 @@ def construct_theorem5(n: int) -> tuple[PatternMatrix, Graph]:
 def construct_gt(t: int) -> Graph:
     """Even path on 2t vertices plus a vertex adjacent to all its interior."""
     if t < 3:
-        raise BadParameters("need t >= 3")
+        raise MPartError("need t >= 3")
     if 2 * t + 1 > MAX_VERTICES:
-        raise BadParameters(f"t={t} needs {2 * t + 1} vertices, above the {MAX_VERTICES}-vertex cap")
+        raise MPartError(f"t={t} needs {2 * t + 1} vertices, above the {MAX_VERTICES}-vertex cap")
     edges = [(i, i + 1) for i in range(2 * t - 1)]
     u = 2 * t
     edges.extend((u, p) for p in range(1, 2 * t - 1))
@@ -374,7 +374,7 @@ def theorem1_bound(k: int, ell: int) -> int:
     which is justified by complement duality.
     """
     if k < 0 or ell < 0 or k + ell < 1:
-        raise BadParameters(f"need k+ell >= 1, got k={k}, ell={ell}")
+        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
     if k < ell:
         k, ell = ell, k
     return 2 ** (k - 1) * (k + ell) * (2 * k + 3) + 1
@@ -383,21 +383,21 @@ def theorem1_bound(k: int, ell: int) -> int:
 def theorem4_bound(k: int, ell: int) -> int:
     """Upper bound on the order of a bipartite minimal obstruction."""
     if k < 0 or ell < 0 or k + ell < 1:
-        raise BadParameters(f"need k+ell >= 1, got k={k}, ell={ell}")
+        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
     return 2 ** (2 * ell) * (k + ell) * (2 * ell + 3)
 
 
 def theorem5_size(n: int) -> int:
     """Order of the construct_theorem5 graph."""
     if n < 1:
-        raise BadParameters("need n >= 1")
+        raise MPartError("need n >= 1")
     return 4 * n + 1 + comb(2 * n, n)
 
 
 def feder2008_bound(k: int, ell: int) -> int:
     """Largest minimal obstruction order for star-free matrices."""
     if k < 0 or ell < 0 or k + ell < 1:
-        raise BadParameters(f"need k+ell >= 1, got k={k}, ell={ell}")
+        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
     return (k + 1) * (ell + 1)
 
 

@@ -12,7 +12,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BadCharacter, BadParameters, NotSquare, NotSymmetric
+from .errors import MPartError
 from .graph import MAX_VERTICES
 
 ZERO = "0"
@@ -90,9 +90,6 @@ class PatternMatrix:
     def to_text(self) -> str:
         return ";".join(self.rows)
 
-    def __str__(self) -> str:
-        return self.to_text()
-
 
 _LIVE: weakref.WeakValueDictionary[tuple[str, ...], PatternMatrix] = weakref.WeakValueDictionary()
 
@@ -112,17 +109,17 @@ def make_matrix(rows) -> PatternMatrix:
     rows = tuple(str(r) for r in rows)
     m = len(rows)
     if m == 0:
-        raise NotSquare("matrix must have at least one row")
+        raise MPartError("matrix must have at least one row")
     for r in rows:
         if len(r) != m:
-            raise NotSquare(f"row {r!r} has length {len(r)}, expected {m}")
+            raise MPartError(f"row {r!r} has length {len(r)}, expected {m}")
         bad = set(r) - _VALID
         if bad:
-            raise BadCharacter(f"invalid entries {sorted(bad)} in row {r!r}")
+            raise MPartError(f"invalid entries {sorted(bad)} in row {r!r}")
     for i in range(m):
         for j in range(i + 1, m):
             if rows[i][j] != rows[j][i]:
-                raise NotSymmetric(f"entry ({i},{j})={rows[i][j]!r} != ({j},{i})={rows[j][i]!r}")
+                raise MPartError(f"entry ({i},{j})={rows[i][j]!r} != ({j},{i})={rows[j][i]!r}")
     return _shared(rows)
 
 
@@ -146,9 +143,9 @@ def make_m_kt(k: int, t: int) -> PatternMatrix:
     """The k x k all-zero-diagonal matrix with t ones at the end of the last
     row and column and stars everywhere else."""
     if not (1 <= t <= k - 1):
-        raise BadParameters(f"need 1 <= t <= k-1, got k={k}, t={t}")
+        raise MPartError(f"need 1 <= t <= k-1, got k={k}, t={t}")
     if k > MAX_VERTICES:
-        raise BadParameters(f"k={k} is above the {MAX_VERTICES}-part cap")
+        raise MPartError(f"k={k} is above the {MAX_VERTICES}-part cap")
     rows = [[STAR] * k for _ in range(k)]
     for i in range(k):
         rows[i][i] = ZERO
@@ -165,7 +162,7 @@ def make_kl_matrix(k: int, ell: int) -> PatternMatrix:
     graphs splitting into k independent sets and ell cliques.
     """
     if k < 0 or ell < 0 or k + ell < 1:
-        raise BadParameters(f"need k+ell >= 1, got k={k}, ell={ell}")
+        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
     m = k + ell
     rows = [[STAR] * m for _ in range(m)]
     for i in range(m):

@@ -7,7 +7,7 @@ its side, an index into the class's part pattern "01", "00" or "11".
 
 from __future__ import annotations
 
-from .errors import PartNotUniform, VertexOutOfRange
+from .errors import MPartError
 from .graph import Graph, complement
 
 
@@ -123,13 +123,13 @@ def homogeneity_report(G: Graph, P) -> tuple[tuple[int, ...], ...]:
     pmask = 0
     for v in verts:
         if not (0 <= v < G.n):
-            raise VertexOutOfRange(f"vertex {v} outside 0..{G.n - 1}")
+            raise MPartError(f"vertex {v} outside 0..{G.n - 1}")
         pmask |= 1 << v
     inner = [G.adj[v] & pmask for v in verts]
     is_indep = all(x == 0 for x in inner)
     is_clique = all(inner[i] == pmask & ~(1 << v) for i, v in enumerate(verts))
     if verts and not (is_indep or is_clique):
-        raise PartNotUniform("part induces neither a clique nor an independent set")
+        raise MPartError("part induces neither a clique nor an independent set")
     groups: dict[int, list[int]] = {}
     for v in verts:
         groups.setdefault(G.adj[v] & ~pmask, []).append(v)

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DiagonalStar, InternalError, NotSplit, PartOutOfRange, TooLarge
+from .errors import InternalError, MPartError
 from .graph import Graph
 from .pattern import ONE, STAR, PatternMatrix
 
@@ -76,10 +76,10 @@ def validate(G: Graph, M: PatternMatrix, parts) -> bool:
     constraints of the matrix."""
     n, m = G.n, M.m
     if len(parts) != n:
-        raise PartOutOfRange(f"assignment covers {len(parts)} of {n} vertices")
+        raise MPartError(f"assignment covers {len(parts)} of {n} vertices")
     for p in parts:
         if not (0 <= p < m):
-            raise PartOutOfRange(f"part index {p} outside 0..{m - 1}")
+            raise MPartError(f"part index {p} outside 0..{m - 1}")
     rows = M.rows
     adj = G.adj
     for u in range(n):
@@ -181,8 +181,8 @@ def solve(G: Graph, M: PatternMatrix) -> PartAssignment | None:
 def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     """Split-graph solving; equivalent in solvability to solve().
 
-    Raises NotSplit for a non-split graph, then DiagonalStar for a star on
-    the diagonal.  With a star in the cross block C, M.star_blocks["01"] is
+    Raises MPartError for a non-split graph, then for a star on the
+    diagonal.  With a star in the cross block C, M.star_blocks["01"] is
     the C-star pair (p, q): the first parts of diagonals 0 and 1 with a star
     between them.  The witness is then read off split_partition without
     search: its sides, 0 independent and 1 clique, index the pair, so the
@@ -197,9 +197,9 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
 
     sides = recognize.split_partition(G)
     if sides is None:
-        raise NotSplit("input graph is not split")
+        raise MPartError("input graph is not split")
     if STAR in M.star_blocks:
-        raise DiagonalStar(f"diagonal {M.diagonal()!r} contains a star")
+        raise MPartError(f"diagonal {M.diagonal()!r} contains a star")
     if (pair := M.star_blocks.get("01")) is None:
         return solve(G, M)
     parts = tuple(pair[s] for s in sides)
@@ -217,7 +217,7 @@ def count_partitions(G: Graph, M: PatternMatrix) -> int:
     """
     n, m = G.n, M.m
     if n > 10 or m > 4:
-        raise TooLarge(f"count_partitions guarded at n <= 10, m <= 4 (n={n}, m={m})")
+        raise MPartError(f"count_partitions guarded at n <= 10, m <= 4 (n={n}, m={m})")
     rows = M.rows
     adj = G.adj
     parts = [0] * n

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import struct
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from mpart import pattern as pat
 from mpart import solver as sv
 from mpart import verify as vf
 from mpart.cli import main
+from test_obstruction import drop_k3_from_the_deck_of_k3_plus_k1
 
 
 def run_cli(*args):
@@ -321,6 +323,63 @@ class TestVerifyCommand:
                           "--graph", gr.to_graph6(gr.path(4)))
         assert rc == 0
         assert json.loads(out)["status"] == "partitionable"
+
+
+def flip_byte_5000(table):
+    table[5000] ^= 0xFF
+    return table
+
+
+def count_of_order_5_one_short(table):
+    # the header's count of the graphs on 5 vertices, the fifth section's
+    at = 4 * (gr._SECTIONS + 4)
+    struct.pack_into("<I", table, at, struct.unpack_from("<I", table, at)[0] - 1)
+    return table
+
+
+class TestFault:
+    """A fault inside mpart exits 4, with one line on stderr and no stdout."""
+
+    @pytest.mark.parametrize("damage", [
+        flip_byte_5000, lambda table: table[:100], count_of_order_5_one_short, None,
+    ], ids=["flipped-byte", "truncated", "count-one-short", "missing"])
+    def test_a_damaged_table_exits_4(self, damage, tmp_path, monkeypatch, capsys):
+        table = tmp_path / "generation.bin"
+        if damage is not None:
+            with open(gr._TABLE, "rb") as f:
+                table.write_bytes(damage(bytearray(f.read())))
+        monkeypatch.setattr(gr, "_TABLE", str(table))
+        gr.generation.cache_clear()
+        ob._candidates.cache_clear()
+        try:
+            rc = main(["enumerate", "--matrix", "0**;*0*;**0", "--class", "all", "--max-n", "8",
+                       "--data-dir", str(tmp_path / "data")])
+        finally:
+            gr.generation.cache_clear()
+            ob._candidates.cache_clear()
+        out, err = capsys.readouterr()
+        assert (rc, out) == (4, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal error: ") and "generation.bin" in err
+
+    def test_a_broken_invariant_of_the_walk_exits_4(self, monkeypatch, tmp_path, capsys):
+        drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch)
+        rc = main(["enumerate", "--matrix", "0*;*0", "--class", "all", "--max-n", "4",
+                   "--data-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("internal error: ")
+        assert not any(tmp_path.iterdir())
+
+    def test_any_other_exception_exits_4_with_its_traceback(self, monkeypatch, capsys):
+        def fail(G, M):
+            raise ZeroDivisionError("a fault")
+
+        monkeypatch.setattr(sv, "solve", fail)
+        rc = main(["solve", "--matrix", "0*;*0", "--graph", C5])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (4, "")
+        assert err.startswith("Traceback") and "ZeroDivisionError: a fault" in err
 
 
 def test_cli_import_loads_no_process_pool():

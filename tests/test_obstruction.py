@@ -127,6 +127,33 @@ EXTEND_MATRICES = [pat.parse_matrix(rows) for rows in [
                                                       pat.make_kl_matrix(1, 8)]
 
 
+def drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch):
+    # K3 + K1 is obstructed but not minimal under 2-colouring.  With K3,
+    # the last entry, dropped from its deck (and its block from the
+    # packed orders, and its length from lens), the one graph left
+    # there, K2 + K1, partitions, so the walk reaches K3 + K1 as open,
+    # no witness extends, and classify_minimality finds the obstructed
+    # deletion.  The candidates are taken before the table is patched, so
+    # that no state of _candidates's cache decides what they are
+    graphs, decks, orders, complements = gr.generation(4, False)
+    k3 = [aug.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
+        aug.canonical_form(gr.complete(3)))
+    i = [aug.canonical_form(G) for G in graphs].index(
+        aug.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1))))
+    assert len(decks[i]) == 2 and decks[i][-1] == k3
+    decks, orders = list(decks), list(orders)
+    decks[i], orders[i] = decks[i][:-1], orders[i][:5]
+    members, children, lens = ob._candidates("all", 4)
+    lens = lens[:i] + bytes((lens[i] - 1,)) + lens[i + 1:]
+    generation, candidates = ob.generation, ob._candidates
+    monkeypatch.setattr(ob, "generation", lambda n, split: (
+        (graphs, decks, orders, complements) if (n, split) == (4, False)
+        else generation(n, split)))
+    monkeypatch.setattr(ob, "_candidates", lambda class_name, n: (
+        (members, children, lens) if (class_name, n) == ("all", 4)
+        else candidates(class_name, n)))
+
+
 class TestIsObstruction:
     def test_odd_cycle(self):
         assert sv.solve(gr.cycle(5), pat.make_kl_matrix(2, 0)) is None
@@ -190,7 +217,7 @@ class TestEnumeration:
         assert "diagonal star" in report.note
 
     def test_too_large(self):
-        with pytest.raises(errors.TooLarge):
+        with pytest.raises(errors.MPartError, match="n_max=9 above the all limit 8"):
             ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), "all", 9)
 
     def test_cobipartite_class_empty_for_own_matrix(self):
@@ -316,32 +343,7 @@ class TestEnumeration:
         assert {extended for _, extended in outcomes} == {False, True}
 
     def test_a_deck_missing_an_obstructed_deletion_raises_internal_error(self, monkeypatch):
-        # K3 + K1 is obstructed but not minimal under 2-colouring.  With K3,
-        # the last entry, dropped from its deck (and its block from the
-        # packed orders, and its length from lens), the one graph left
-        # there, K2 + K1, partitions, so the walk reaches K3 + K1 as open,
-        # no witness extends, and classify_minimality finds the obstructed
-        # deletion
-        graphs, decks, orders, complements = gr.generation(4, False)
-        k3 = [aug.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
-            aug.canonical_form(gr.complete(3)))
-        i = [aug.canonical_form(G) for G in graphs].index(
-            aug.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1))))
-        assert len(decks[i]) == 2 and decks[i][-1] == k3
-        decks, orders = list(decks), list(orders)
-        decks[i], orders[i] = decks[i][:-1], orders[i][:5]
-        generation, candidates = ob.generation, ob._candidates
-        monkeypatch.setattr(ob, "generation", lambda n, split: (
-            (graphs, decks, orders, complements) if (n, split) == (4, False)
-            else generation(n, split)))
-
-        def incomplete(class_name, n):
-            members, children, lens = candidates(class_name, n)
-            if n == 4:
-                lens = lens[:i] + bytes((lens[i] - 1,)) + lens[i + 1:]
-            return members, children, lens
-
-        monkeypatch.setattr(ob, "_candidates", incomplete)
+        drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch)
         with pytest.raises(errors.InternalError):
             ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 4)
 
@@ -475,7 +477,7 @@ class TestEnumeration:
         assert pickle.loads(pickle.dumps(cert)) == cert
 
     def test_negative_n_max(self):
-        with pytest.raises(errors.BadParameters):
+        with pytest.raises(errors.MPartError, match="n_max=-3 is negative"):
             ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), "all", -3)
         assert ob.enumerate_minimal_obstructions(pat.parse_matrix("0"), "all", 0).obstructions == ()
 
@@ -544,7 +546,8 @@ class TestClassPatterns:
                 if star_pair(M, diagonals):
                     report = ob.enumerate_minimal_obstructions(M, class_name, limit)
                     assert report.obstructions == () and report.note == ""
-                    with pytest.raises(errors.TooLarge):
+                    with pytest.raises(errors.MPartError,
+                                       match=f"n_max={limit + 1} above the {class_name} limit"):
                         ob.enumerate_minimal_obstructions(M, class_name, limit + 1)
 
 
@@ -586,11 +589,11 @@ class TestTheorem5:
                 assert sv.validate(H, M, s2.parts)
 
     def test_bad_parameters(self):
-        with pytest.raises(errors.BadParameters):
+        with pytest.raises(errors.MPartError, match="need n >= 1"):
             ob.construct_theorem5(0)
-        with pytest.raises(errors.BadParameters):
+        with pytest.raises(errors.MPartError, match="n=4 needs more than 64 vertices"):
             ob.construct_theorem5(4)  # over the 64-vertex cap
-        with pytest.raises(errors.BadParameters):
+        with pytest.raises(errors.MPartError, match="n=1000000000 needs more than 64 vertices"):
             ob.construct_theorem5(10**9)  # refused before C(2n, n) is computed
 
 
@@ -613,9 +616,9 @@ class TestGtFamily:
         assert aug.canonical_form(sub) == aug.canonical_form(two_k2())
 
     def test_bad_parameters(self):
-        with pytest.raises(errors.BadParameters):
+        with pytest.raises(errors.MPartError, match="need t >= 3"):
             ob.construct_gt(2)
-        with pytest.raises(errors.BadParameters):
+        with pytest.raises(errors.MPartError, match="above the 64-vertex cap"):
             ob.construct_gt(10**9)  # refused before the edge list is built
 
 
@@ -631,9 +634,9 @@ class TestBounds:
         assert ob.theorem1_bound(1, 3) == ob.theorem1_bound(3, 1)
 
     def test_bad_parameters(self):
-        with pytest.raises(errors.BadParameters):
+        with pytest.raises(errors.MPartError, match=r"need k\+ell >= 1, got k=0, ell=0"):
             ob.theorem1_bound(0, 0)
-        with pytest.raises(errors.BadParameters):
+        with pytest.raises(errors.MPartError, match="need n >= 1"):
             ob.theorem5_size(0)
 
 

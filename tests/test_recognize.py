@@ -169,7 +169,7 @@ class TestHomogeneous:
         assert rec.homogeneity_report(gr.path(4), [0, 2]) == ((0,), (2,))
 
     def test_not_uniform(self):
-        with pytest.raises(errors.PartNotUniform):
+        with pytest.raises(errors.MPartError, match="neither a clique nor an independent set"):
             rec.homogeneity_report(gr.path(3), [0, 1, 2])
 
     def test_empty_part(self):
