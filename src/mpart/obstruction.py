@@ -9,9 +9,8 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from math import comb
-from operator import eq
 from pathlib import Path
 from sys import intern
 
@@ -110,14 +109,14 @@ CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
 
 @cache
 def _candidates(class_name: str, n: int):
-    """(members, children, lens) of the class on n >= 1 vertices, all in
-    the indices of `generation(n, split)`.
+    """(members, children) of the class on n >= 1 vertices, both in the
+    indices of `generation(n, split)`.
 
     members is the sorted tuple of the indices of the class's members.
     children[p], for each index p of the generation on n - 1 vertices, is
     the sorted tuple of the members whose deck holds p: the inverse of the
-    members' decks.  lens[i] is the length of graph i's deck.  A class that
-    runs another's walk (cobipartite) has no candidates and is refused.
+    members' decks.  A class that runs another's walk (cobipartite) has no
+    candidates and is refused.
 
     A class with a member test runs it only on the graphs whose whole deck
     is members of order n - 1 (at n = 1 the deck is the graph on no vertex,
@@ -137,7 +136,7 @@ def _candidates(class_name: str, n: int):
     for i in members:
         for p in decks[i]:
             children[p].append(i)
-    return members, tuple(map(tuple, children)), bytes(map(len, decks))
+    return members, tuple(map(tuple, children))
 
 
 def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
@@ -248,18 +247,19 @@ def enumerate_minimal_obstructions(
     extended candidate is partitionable, which emits nothing; every other
     one is classified as before; and a minimal obstruction's witnesses come
     from `solve(delete_vertex(G, v))`, never from kept parts.  Open
-    candidates are visited by index, in the generation's order, so the
-    obstructions arrive in catalog order.  Equal certificates, and so their
-    witnesses, are one object while anything holds them, across reports
-    too (`_CERTIFICATES`), and graph6 strings are interned.  jobs is
-    accepted for compatibility and ignored.
+    candidates are visited in the order they are reached, and the
+    obstructions are sorted once, at the end, into catalog order: by order,
+    then by the generation's index of the emitted graph's class.  Equal
+    certificates, and so their witnesses, are one object while anything
+    holds them, across reports too (`_CERTIFICATES`), and graph6 strings
+    are interned.  jobs is accepted for compatibility and ignored.
 
     cobipartite runs bipartite's walk under complement_matrix(M): a graph's
     complement has an M-partition exactly when the graph has a
     complement_matrix(M)-partition with the same parts.  The class's
-    obstructions are the complements of the walk's, with its witnesses,
-    sorted into catalog order: by order, then by the generation's index of
-    their class, its complements column.
+    obstructions are the complements of the walk's, with its witnesses;
+    the index of a complement's class is the generation's complements
+    column.
     """
     if class_name not in _CLASSES:
         raise MPartError(f"unknown class {class_name!r}")
@@ -271,22 +271,23 @@ def enumerate_minimal_obstructions(
     if decided_by_pattern(M, class_name):
         return EnumerationReport(M, class_name, n_max, ())
     walk, W = (dual, complement_matrix(M)) if dual else (class_name, M)
-    found = []  # (index, graph, witnesses) of the walk's minimal obstructions
+    # ((order, index of the class emitted), graph emitted, witnesses) of
+    # the minimal obstructions
+    found = []
     ones, spread, codes = _layout(W.m)
     forbid = _forbidden(W, ones)
     # (code, parts) of the partitionable candidates of order n - 1 by
     # index; the graph on no vertex partitions
     partitioned = {0: (0, b"")}
     for n in range(1, n_max + 1):
-        graphs, decks, orders, _ = generation(n, split)
-        _, children, lens = _candidates(walk, n)
+        graphs, decks, orders, complements = generation(n, split)
+        _, children = _candidates(walk, n)
         top = n == n_max
         # index -> the number of partitionable graphs in its deck; the open
         # candidates have them all, the others an obstructed deletion
         reached = Counter(chain.from_iterable(map(children.__getitem__, partitioned)))
-        full = map(eq, reached.values(), map(lens.__getitem__, reached))
         parts_now: dict[int, tuple[int, bytes]] = {}
-        for i in sorted(compress(reached, full)):
+        for i in [i for i, k in reached.items() if k == len(decks[i])]:
             parts = _extend(decks[i], orders[i], n, partitioned, spread, forbid, top)
             if parts is None:
                 G = graphs[i]
@@ -295,16 +296,15 @@ def enumerate_minimal_obstructions(
                     raise InternalError(
                         f"{to_graph6(G)} has an obstructed deletion missing from its deck")
                 if status == "minimal":
-                    found.append((i, G, payload))
+                    found.append(((n, complements[i]), complement(G), payload) if dual
+                                 else ((n, i), G, payload))
                     continue
                 parts = bytes(payload.parts)
             if not top:  # no order reads the last one's parts
                 code = int.from_bytes(b"".join(map(codes.__getitem__, parts)), "little")
                 parts_now[i] = (code, parts)
         partitioned = parts_now
-    if dual:
-        found.sort(key=lambda f: (f[1].n, generation(f[1].n, split)[3][f[0]]))
-        found = [(i, complement(G), ws) for i, G, ws in found]
+    found.sort(key=lambda f: f[0])
     obstructions = tuple(
         (intern(to_graph6(G)), _CERTIFICATES.setdefault((G, ws), MinimalityCertificate(G, ws)))
         for _, G, ws in found)
@@ -367,14 +367,18 @@ def construct_gt(t: int) -> Graph:
 # closed-form bounds
 # ---------------------------------------------------------------------------
 
+def _check_kl(k: int, ell: int) -> None:
+    if k < 0 or ell < 0 or k + ell < 1:
+        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
+
+
 def theorem1_bound(k: int, ell: int) -> int:
     """Upper bound on the order of a split minimal obstruction.
 
     Stated for k >= ell; for k < ell the bound is evaluated at (ell, k),
     which is justified by complement duality.
     """
-    if k < 0 or ell < 0 or k + ell < 1:
-        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
+    _check_kl(k, ell)
     if k < ell:
         k, ell = ell, k
     return 2 ** (k - 1) * (k + ell) * (2 * k + 3) + 1
@@ -382,8 +386,7 @@ def theorem1_bound(k: int, ell: int) -> int:
 
 def theorem4_bound(k: int, ell: int) -> int:
     """Upper bound on the order of a bipartite minimal obstruction."""
-    if k < 0 or ell < 0 or k + ell < 1:
-        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
+    _check_kl(k, ell)
     return 2 ** (2 * ell) * (k + ell) * (2 * ell + 3)
 
 
@@ -396,8 +399,7 @@ def theorem5_size(n: int) -> int:
 
 def feder2008_bound(k: int, ell: int) -> int:
     """Largest minimal obstruction order for star-free matrices."""
-    if k < 0 or ell < 0 or k + ell < 1:
-        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
+    _check_kl(k, ell)
     return (k + 1) * (ell + 1)
 
 
@@ -420,8 +422,8 @@ def _summary(report: EnumerationReport) -> dict:
     }
 
 
-def report_to_dict(report: EnumerationReport) -> dict:
-    return {
+def report_to_json(report: EnumerationReport) -> str:
+    return json.dumps({
         **_summary(report),
         "obstructions": [
             {
@@ -432,11 +434,7 @@ def report_to_dict(report: EnumerationReport) -> dict:
             }
             for g6, cert in report.obstructions
         ],
-    }
-
-
-def report_to_json(report: EnumerationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    }, indent=2, sort_keys=True)
 
 
 def report_to_tsv(report: EnumerationReport) -> str:

@@ -70,7 +70,14 @@ def is_cobipartite(G: Graph):
 
 
 def is_chordal(G: Graph):
-    """Perfect elimination ordering via maximum cardinality search, or None."""
+    """Perfect elimination ordering via maximum cardinality search, or None.
+
+    The search numbers the vertices one at a time, each time the lowest
+    unnumbered vertex with the most numbered neighbours.  G is chordal
+    exactly when the reverse of that numbering is a perfect elimination
+    ordering (Tarjan and Yannakakis, SIAM J. Comput. 13, 1984): the
+    neighbours of each vertex numbered before it form a clique.  That is
+    tested as each vertex is numbered, so one pass decides."""
     n = G.n
     weight = [0] * n
     numbered = 0
@@ -80,6 +87,13 @@ def is_chordal(G: Graph):
         for v in range(n):
             if not (numbered >> v & 1) and (best == -1 or weight[v] > weight[best]):
                 best = v
+        earlier = G.adj[best] & numbered
+        t = earlier
+        while t:
+            low = t & -t
+            t ^= low
+            if earlier & ~(G.adj[low.bit_length() - 1] | low):
+                return None
         visit.append(best)
         numbered |= 1 << best
         t = G.adj[best] & ~numbered
@@ -88,27 +102,7 @@ def is_chordal(G: Graph):
             u = low.bit_length() - 1
             t ^= low
             weight[u] += 1
-    elim = list(reversed(visit))
-    pos = [0] * n
-    for i, v in enumerate(elim):
-        pos[v] = i
-    for i, v in enumerate(elim):
-        later = 0
-        t = G.adj[v]
-        while t:
-            low = t & -t
-            u = low.bit_length() - 1
-            t ^= low
-            if pos[u] > i:
-                later |= low
-        t = later
-        while t:
-            low = t & -t
-            u = low.bit_length() - 1
-            t ^= low
-            if later & ~(G.adj[u] | low):
-                return None
-    return tuple(elim)
+    return tuple(reversed(visit))
 
 
 def homogeneity_report(G: Graph, P) -> tuple[tuple[int, ...], ...]:

@@ -388,3 +388,14 @@ def test_cli_import_loads_no_process_pool():
             "print([m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_imports_stay_lazy():
+    # a fresh interpreter each: the CLI loads verify only in `mpart verify`,
+    # and the package root loads no recognizer, enumeration or CLI
+    for module, absent in (("mpart.cli", ["mpart.verify"]),
+                           ("mpart", ["mpart.recognize", "mpart.obstruction", "mpart.cli"])):
+        code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "[]", module

@@ -130,11 +130,11 @@ EXTEND_MATRICES = [pat.parse_matrix(rows) for rows in [
 def drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch):
     # K3 + K1 is obstructed but not minimal under 2-colouring.  With K3,
     # the last entry, dropped from its deck (and its block from the
-    # packed orders, and its length from lens), the one graph left
-    # there, K2 + K1, partitions, so the walk reaches K3 + K1 as open,
-    # no witness extends, and classify_minimality finds the obstructed
-    # deletion.  The candidates are taken before the table is patched, so
-    # that no state of _candidates's cache decides what they are
+    # packed orders), the one graph left there, K2 + K1, partitions, so
+    # the walk reaches K3 + K1 as open (the shortened deck carries its own
+    # length), no witness extends, and classify_minimality finds the
+    # obstructed deletion.  The candidates are taken before the table is
+    # patched, so that no state of _candidates's cache decides what they are
     graphs, decks, orders, complements = gr.generation(4, False)
     k3 = [aug.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
         aug.canonical_form(gr.complete(3)))
@@ -143,14 +143,13 @@ def drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch):
     assert len(decks[i]) == 2 and decks[i][-1] == k3
     decks, orders = list(decks), list(orders)
     decks[i], orders[i] = decks[i][:-1], orders[i][:5]
-    members, children, lens = ob._candidates("all", 4)
-    lens = lens[:i] + bytes((lens[i] - 1,)) + lens[i + 1:]
+    members, children = ob._candidates("all", 4)
     generation, candidates = ob.generation, ob._candidates
     monkeypatch.setattr(ob, "generation", lambda n, split: (
         (graphs, decks, orders, complements) if (n, split) == (4, False)
         else generation(n, split)))
     monkeypatch.setattr(ob, "_candidates", lambda class_name, n: (
-        (members, children, lens) if (class_name, n) == ("all", 4)
+        (members, children) if (class_name, n) == ("all", 4)
         else candidates(class_name, n)))
 
 
@@ -351,11 +350,11 @@ class TestEnumeration:
     def test_candidates_arrive_in_catalog_order(self, class_name, monkeypatch):
         # the members of each order as enumeration takes them, at the limit
         # under "0", which no part pattern decides: their indices, and the
-        # canonical forms of their graphs, strictly increase, and the walk
-        # visits them by index, so the
-        # obstructions arrive in catalog order unsorted.  cobipartite takes
-        # the bipartite candidates; the catalog order of their complements
-        # comes from the final sort, which
+        # canonical forms of their graphs, strictly increase, so index order
+        # is catalog order, and the walk's one sort, by order and then
+        # index, puts the obstructions in catalog order in whatever order
+        # they are reached.  cobipartite takes the bipartite candidates and
+        # sorts by the index of each complement's class, which
         # test_cobipartite_is_complement_of_bipartite checks.  The cache is
         # warmed first: a cold _candidates of a class with a member test
         # calls _candidates at n - 1, which would record an order the walk
@@ -393,10 +392,9 @@ class TestEnumeration:
         walk = "bipartite" if class_name == "cobipartite" else class_name
         for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
             decks = gr.generation(n, split)[1]
-            members, children, lens = ob._candidates(walk, n)
+            members, children = ob._candidates(walk, n)
             assert len(children) == len(gr.generation(n - 1, split)[0])
             assert all(len(set(deck)) == len(deck) for deck in decks)
-            assert list(lens) == [len(deck) for deck in decks]
             edges = [(p, i) for p, kids in enumerate(children) for i in kids]
             assert edges == sorted((p, i) for i in members for p in decks[i]), n
             assert len(set(edges)) == len(edges)

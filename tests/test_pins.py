@@ -1,6 +1,6 @@
 """Byte pins: SHA-256 digests of solve and solve_split witnesses, of the
-canonical order, decks and packed orders of the generation table, and of
-the catalogs.
+canonical order, decks and packed orders of the generation table, of the
+chordal recognizer's elimination orderings, and of the catalogs.
 
 The searches promise more than solvability: `solve` tries vertices by minimum
 remaining values with index tiebreak and parts lowest first, so its witness
@@ -20,6 +20,7 @@ import augmentation as aug
 from mpart import graph as gr
 from mpart import obstruction as ob
 from mpart import pattern as pat
+from mpart import recognize as rec
 from mpart import solver as sv
 
 
@@ -112,6 +113,16 @@ def test_packed_orders_at_the_class_limits():
              for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT))
              for n in range(top + 1))
     assert _digest(lines) == "4357e63187dabd7d9fc850540c20b573ce0e90189bb1db91083630494655fcb5"
+
+
+def test_chordal_orders_at_the_class_limits():
+    # the perfect elimination ordering maximum cardinality search finds, or
+    # "-", for every graph of the table, all graphs first
+    lines = ("-" if (order := rec.is_chordal(G)) is None else " ".join(map(str, order))
+             for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT))
+             for n in range(top + 1)
+             for G in gr.generation(n, split)[0])
+    assert _digest(lines) == "07f84bec5b5931dbe977639a666982ef4cf2a9ca60604a930e7874dddd27cf4d"
 
 
 def test_catalogs_at_the_class_limits():
