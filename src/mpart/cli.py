@@ -126,7 +126,7 @@ def cmd_enumerate(args) -> int:
     M = _load_matrix(args)
     report = ob.enumerate_minimal_obstructions(M, args.class_name, args.max_n, jobs=args.jobs)
     _answered(args)
-    ob.save_catalog(report, args.data_dir, __version__)
+    ob.save_catalog(report, args.data_dir)
     sys.stdout.write(ob.report_to_tsv(report) if args.output == "tsv"
                      else ob.report_to_json(report) + "\n")
     return 0
@@ -171,14 +171,20 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import time  # like verify, only this command reads it
+
     from . import verify as vf  # only this command reads it; the rest start without it
 
-    results = vf.run_criteria(level=args.level)
     all_ok = True
-    for r in results:
-        ok = r.ok and r.within_budget
+    for name, budget, level, check in vf.CRITERIA:
+        if args.level == "quick" and level != "quick":
+            continue
+        t0 = time.perf_counter()
+        ok, measured = check()
+        elapsed = time.perf_counter() - t0
+        ok = ok and elapsed <= budget  # a check over its budget fails
         all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'}\t{r.name}\t{r.elapsed:.2f}s\t{r.measured}")
+        print(f"{'PASS' if ok else 'FAIL'}\t{name}\t{elapsed:.2f}s\t{measured}")
     return 0 if all_ok else 1
 
 

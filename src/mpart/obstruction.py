@@ -14,6 +14,7 @@ from math import comb
 from pathlib import Path
 from sys import intern
 
+from . import __version__
 from .errors import InternalError, MPartError
 from .graph import (
     MAX_ENUM_ALL,
@@ -26,7 +27,7 @@ from .graph import (
     generation,
     to_graph6,
 )
-from .pattern import STAR, PatternMatrix, complement_matrix, make_m_kt
+from .pattern import STAR, PatternMatrix, check_kl, complement_matrix, make_m_kt
 from .recognize import is_bipartite, is_chordal
 from .solver import PartAssignment, solve
 
@@ -85,26 +86,28 @@ def classify_minimality(G: Graph, M: PatternMatrix):
 # exhaustive enumeration per class
 # ---------------------------------------------------------------------------
 
-# class name -> (largest order, part patterns as PatternMatrix.star_blocks
-# names them, split: whether the candidates come from the split graphs'
-# generation rather than all graphs', member test or None for every graph
-# generated, the class whose walk it runs under the complement matrix
+# class name -> (part patterns as PatternMatrix.star_blocks names them,
+# split: whether the candidates come from the split graphs' generation
+# rather than all graphs', member test or None for every graph generated,
+# the class whose walk it runs under the complement matrix
 # (enumerate_minimal_obstructions), having no candidates of its own, or
-# None).  Every graph has the pattern "*"; split, bipartite and cobipartite
-# graphs split into an independent set and a clique, two independent sets,
-# or two cliques.  Enumeration runs in the generation's own indices, and a
-# deck holds indices of the generation at order n - 1, so every class must
-# be hereditary: each G - v of a member is a member.  `_candidates` relies
-# on it too: the member test sees only the graphs whose whole deck is
-# members, since no other graph can be one.
+# None).  A class's largest order (CLASS_LIMITS) is that of its half of the
+# generation table.  Every graph has the pattern "*"; split, bipartite and
+# cobipartite graphs split into an independent set and a clique, two
+# independent sets, or two cliques.  Enumeration runs in the generation's
+# own indices, and a deck holds indices of the generation at order n - 1,
+# so every class must be hereditary: each G - v of a member is a member.
+# `_candidates` relies on it too: the member test sees only the graphs
+# whose whole deck is members, since no other graph can be one.
 _CLASSES = {
-    "all": (MAX_ENUM_ALL, (STAR,), False, None, None),
-    "split": (MAX_ENUM_SPLIT, (STAR, "01"), True, None, None),
-    "bipartite": (MAX_ENUM_ALL, (STAR, "00"), False, is_bipartite, None),
-    "cobipartite": (MAX_ENUM_ALL, (STAR, "11"), False, None, "bipartite"),
-    "chordal": (MAX_ENUM_ALL, (STAR,), False, is_chordal, None),
+    "all": ((STAR,), False, None, None),
+    "split": ((STAR, "01"), True, None, None),
+    "bipartite": ((STAR, "00"), False, is_bipartite, None),
+    "cobipartite": ((STAR, "11"), False, None, "bipartite"),
+    "chordal": ((STAR,), False, is_chordal, None),
 }
-CLASS_LIMITS = {name: limit for name, (limit, *_) in _CLASSES.items()}
+CLASS_LIMITS = {name: MAX_ENUM_SPLIT if split else MAX_ENUM_ALL
+                for name, (_, split, _, _) in _CLASSES.items()}
 
 
 @cache
@@ -124,7 +127,7 @@ def _candidates(class_name: str, n: int):
     is a member, and the members are exactly those the test alone admits;
     the graphs that reach the test and fail it are the class's minimal
     non-members, the holes in chordal and the odd cycles in bipartite."""
-    _, _, split, test, dual = _CLASSES[class_name]
+    _, split, test, dual = _CLASSES[class_name]
     if dual is not None:
         raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
     graphs, decks, _, _ = generation(n, split)
@@ -142,7 +145,7 @@ def _candidates(class_name: str, n: int):
 def decided_by_pattern(M: PatternMatrix, class_name: str) -> bool:
     """Whether a part pattern of the class embeds in M, so that the class
     has no minimal obstruction under M (see enumerate_minimal_obstructions)."""
-    return not M.star_blocks.keys().isdisjoint(_CLASSES[class_name][1])
+    return not M.star_blocks.keys().isdisjoint(_CLASSES[class_name][0])
 
 
 @cache
@@ -263,8 +266,8 @@ def enumerate_minimal_obstructions(
     """
     if class_name not in _CLASSES:
         raise MPartError(f"unknown class {class_name!r}")
-    limit, _, split, _, dual = _CLASSES[class_name]
-    if n_max > limit:
+    _, split, _, dual = _CLASSES[class_name]
+    if n_max > (limit := CLASS_LIMITS[class_name]):
         raise MPartError(f"n_max={n_max} above the {class_name} limit {limit}")
     if n_max < 0:
         raise MPartError(f"n_max={n_max} is negative")
@@ -324,10 +327,9 @@ def construct_theorem5(n: int) -> tuple[PatternMatrix, Graph]:
     then one vertex per n-subset of B (lexicographic), adjacent to exactly
     that subset.
     """
-    if n < 1:
-        raise MPartError("need n >= 1")
     # the 4n + 1 fixed vertices are tested first, so a huge n is refused
-    # without computing, or formatting, a huge binomial
+    # without computing, or formatting, a huge binomial; an n < 1 passes
+    # that test, and theorem5_size refuses it
     if 4 * n + 1 > MAX_VERTICES or (total := theorem5_size(n)) > MAX_VERTICES:
         raise MPartError(f"n={n} needs more than {MAX_VERTICES} vertices (need n <= 3)")
     M = make_m_kt(2 * n + 1, n)
@@ -367,18 +369,13 @@ def construct_gt(t: int) -> Graph:
 # closed-form bounds
 # ---------------------------------------------------------------------------
 
-def _check_kl(k: int, ell: int) -> None:
-    if k < 0 or ell < 0 or k + ell < 1:
-        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
-
-
 def theorem1_bound(k: int, ell: int) -> int:
     """Upper bound on the order of a split minimal obstruction.
 
     Stated for k >= ell; for k < ell the bound is evaluated at (ell, k),
     which is justified by complement duality.
     """
-    _check_kl(k, ell)
+    check_kl(k, ell)
     if k < ell:
         k, ell = ell, k
     return 2 ** (k - 1) * (k + ell) * (2 * k + 3) + 1
@@ -386,7 +383,7 @@ def theorem1_bound(k: int, ell: int) -> int:
 
 def theorem4_bound(k: int, ell: int) -> int:
     """Upper bound on the order of a bipartite minimal obstruction."""
-    _check_kl(k, ell)
+    check_kl(k, ell)
     return 2 ** (2 * ell) * (k + ell) * (2 * ell + 3)
 
 
@@ -399,7 +396,7 @@ def theorem5_size(n: int) -> int:
 
 def feder2008_bound(k: int, ell: int) -> int:
     """Largest minimal obstruction order for star-free matrices."""
-    _check_kl(k, ell)
+    check_kl(k, ell)
     return (k + 1) * (ell + 1)
 
 
@@ -446,9 +443,10 @@ def report_to_tsv(report: EnumerationReport) -> str:
     return f"order\tcount\n{counts}\n\n" + "\n".join(lines) + "\n"
 
 
-def save_catalog(report: EnumerationReport, root, version: str) -> Path:
-    """Persist data/<matrix-slug>/<class>/n<k>.g6 files plus a manifest,
-    replacing the n<k>.g6 files of any earlier run there."""
+def save_catalog(report: EnumerationReport, root) -> Path:
+    """Persist data/<matrix-slug>/<class>/n<k>.g6 files plus a manifest that
+    records the mpart version writing it, replacing the n<k>.g6 files of any
+    earlier run there."""
     base = Path(root) / matrix_slug(report.matrix) / report.class_name
     base.mkdir(parents=True, exist_ok=True)
     by_order: dict[int, list[str]] = {}
@@ -469,6 +467,6 @@ def save_catalog(report: EnumerationReport, root, version: str) -> Path:
             "star_free_order_bound": feder2008_bound(k, ell)
             if all(STAR not in r for r in report.matrix.rows) else None,
         }
-    manifest = {**_summary(report), "bounds": bounds, "version": version}
+    manifest = {**_summary(report), "bounds": bounds, "version": __version__}
     (base / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return base

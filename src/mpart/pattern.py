@@ -155,14 +155,19 @@ def make_m_kt(k: int, t: int) -> PatternMatrix:
     return _shared(tuple("".join(r) for r in rows))
 
 
+def check_kl(k: int, ell: int) -> None:
+    """Refuse a (k, ell) that counts no part, or a negative number of them."""
+    if k < 0 or ell < 0 or k + ell < 1:
+        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
+
+
 def make_kl_matrix(k: int, ell: int) -> PatternMatrix:
     """Diagonal (0^k, 1^ell), all off-diagonal entries star.
 
     Partitionability by this matrix is exactly membership in the class of
     graphs splitting into k independent sets and ell cliques.
     """
-    if k < 0 or ell < 0 or k + ell < 1:
-        raise MPartError(f"need k+ell >= 1, got k={k}, ell={ell}")
+    check_kl(k, ell)
     m = k + ell
     rows = [[STAR] * m for _ in range(m)]
     for i in range(m):

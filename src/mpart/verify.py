@@ -7,7 +7,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import ceil
 from pathlib import Path
@@ -17,19 +16,6 @@ from . import obstruction as ob
 from . import pattern as pat
 from . import recognize as rec
 from . import solver as sv
-
-
-@dataclass
-class CriterionResult:
-    name: str
-    ok: bool
-    measured: str
-    elapsed: float
-    budget: float
-
-    @property
-    def within_budget(self) -> bool:
-        return self.elapsed <= self.budget
 
 
 def _representatives(graphs) -> set[str]:
@@ -86,7 +72,7 @@ def check_split_characterization():
     # cross-check solvability of every candidate against the counting oracle
     mismatches = 0
     for n in range(1, 7):
-        for G in gr.enumerate_graphs(n):
+        for G in gr.generation(n, False)[0]:
             if (sv.count_partitions(G, M) > 0) != (sv.solve(G, M) is not None):
                 mismatches += 1
     ok = got == want and mismatches == 0
@@ -116,10 +102,11 @@ def check_class_patterns():
     matrices = _diag_star_free_matrices()
     failures = 0
     details = []
-    for class_name, (limit, patterns, split, _, dual) in ob._CLASSES.items():
+    for class_name, (patterns, split, _, dual) in ob._CLASSES.items():
         for pattern in (p for p in patterns if len(p) == 2):
             own = pat.make_matrix([pattern[0] + pat.STAR, pat.STAR + pattern[1]])
-            members = [gr.complement(G) if dual else G for n in range(1, limit + 1)
+            members = [gr.complement(G) if dual else G
+                       for n in range(1, ob.CLASS_LIMITS[class_name] + 1)
                        for G in map(gr.generation(n, split)[0].__getitem__,
                                     ob._candidates(dual or class_name, n)[0])]
             sides = [(G, rec.RECOGNIZERS[class_name](G)) for G in members]
@@ -261,7 +248,7 @@ def check_prop4_homogeneity():
 
 def check_solver_exactness():
     matrices = _matrices_3x3("01*")
-    graphs = [G for n in range(1, 6) for G in gr.enumerate_graphs(n)]
+    graphs = [G for n in range(1, 6) for G in gr.generation(n, False)[0]]
     disagreements = 0
     for M in matrices:
         for G in graphs:
@@ -372,14 +359,3 @@ CRITERIA = [
     ("enumeration-determinism", 60, "quick", check_enumeration_determinism),
     ("bound-consistency", 600, "full", check_bound_consistency),
 ]
-
-
-def run_criteria(level: str = "full") -> list[CriterionResult]:
-    results = []
-    for name, budget, tier, func in CRITERIA:
-        if level == "quick" and tier != "quick":
-            continue
-        t0 = time.perf_counter()
-        ok, measured = func()
-        results.append(CriterionResult(name, ok, measured, time.perf_counter() - t0, budget))
-    return results

@@ -317,6 +317,17 @@ class TestVerifyCommand:
             ["PASS", "passes"], ["FAIL", "fails"], ["FAIL", "over-budget"]]
         assert [line[3] for line in lines] == ["fine", "wrong", "slow"]
 
+    def test_level_filter(self, monkeypatch):
+        # quick runs only the quick criteria, full runs every one, both in
+        # CRITERIA's order
+        full = ("full-only", 10, "full", lambda: (True, "thorough"))
+        quick = ("quick-too", 10, "quick", lambda: (True, "fast"))
+        monkeypatch.setattr(vf, "CRITERIA", [full, quick])
+        for level, want in (("quick", ["quick-too"]), ("full", ["full-only", "quick-too"])):
+            rc, out = run_cli("verify", "--level", level)
+            assert rc == 0
+            assert [line.split("\t")[1] for line in out.splitlines()] == want, level
+
     def test_negative_control(self):
         # a partitionable graph must never be reported as an obstruction
         rc, out = run_cli("check-minimal", "--matrix", "0*;*1",

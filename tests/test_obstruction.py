@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import augmentation as aug
+import mpart
 from mpart import errors
 from mpart import graph as gr
 from mpart import obstruction as ob
@@ -429,7 +430,8 @@ class TestEnumeration:
         # and the graphs whose deletions are all members but which are not:
         # the class's minimal non-members, at order n the n-cycle, a hole
         # (n >= 4) in chordal (Dirac) and an odd cycle in bipartite (König)
-        limit, patterns, split, test, dual = ob._CLASSES[class_name]
+        patterns, split, test, dual = ob._CLASSES[class_name]
+        limit = ob.CLASS_LIMITS[class_name]
         tested = {}
 
         def counting(G):
@@ -437,7 +439,7 @@ class TestEnumeration:
             tested.setdefault(G.n, []).append((G, got is not None))
             return got
 
-        monkeypatch.setitem(ob._CLASSES, class_name, (limit, patterns, split, counting, dual))
+        monkeypatch.setitem(ob._CLASSES, class_name, (patterns, split, counting, dual))
         ob._candidates.cache_clear()
         try:
             for n in range(1, limit + 1):
@@ -637,6 +639,21 @@ class TestBounds:
         with pytest.raises(errors.MPartError, match="need n >= 1"):
             ob.theorem5_size(0)
 
+    def test_star_free_bound_at_the_class_limit(self):
+        # under a matrix with no star, no minimal obstruction has more than
+        # feder2008_bound(k, ell) = (k + 1)(ell + 1) vertices; of the 72
+        # star-free 2x2 and 3x3 matrices, 26 have one of exactly that order
+        matrices = [M for M in vf._diag_star_free_matrices()
+                    if not any(pat.STAR in r for r in M.rows)]
+        assert len(matrices) == 72
+        reached = 0
+        for M in matrices:
+            bound = ob.feder2008_bound(*M.kl)
+            orders = ob.enumerate_minimal_obstructions(M, "all", ob.CLASS_LIMITS["all"]).counts
+            assert max(orders, default=0) <= bound, M.to_text()
+            reached += bound in orders
+        assert reached == 26
+
 
 class TestReports:
     def test_json_and_tsv(self):
@@ -650,21 +667,21 @@ class TestReports:
 
     def test_save_catalog(self, tmp_path):
         report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 5)
-        base = ob.save_catalog(report, tmp_path, "0.1.0")
+        base = ob.save_catalog(report, tmp_path)
         assert (base / "n3.g6").read_text().strip() == "Bw"
         manifest = json.loads((base / "manifest.json").read_text())
         assert manifest["matrix"] == "0*;*0"
         assert manifest["bounds"]["bipartite_order_bound"] == 6
-        assert manifest["version"] == "0.1.0"
+        assert manifest["version"] == mpart.__version__
 
     def test_save_catalog_removes_stale_orders(self, tmp_path):
         # a smaller run into the same directory leaves no file of an order
         # its manifest does not count, and keeps files that are not orders
         M = pat.make_kl_matrix(2, 0)
-        first = ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 7), tmp_path, "0.1.0")
+        first = ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 7), tmp_path)
         assert (first / "n7.g6").is_file()
         (first / "notes.txt").write_text("kept")
-        base = ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 5), tmp_path, "0.1.0")
+        base = ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 5), tmp_path)
         manifest = json.loads((base / "manifest.json").read_text())
         assert manifest["counts"] == {"3": 1, "5": 1}
         assert sorted(p.name for p in base.iterdir()) == \
