@@ -17,6 +17,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 from .errors import InternalError, MPartError
 
@@ -193,70 +194,92 @@ def _section(n: int, split: bool) -> tuple[bytes, int]:
     return payload, count
 
 
-@cache
-def generation(n: int, split: bool) -> tuple[
-        tuple[Graph, ...], tuple[tuple[int, ...], ...], tuple[bytes, ...], tuple[int, ...]]:
-    """(graphs, decks, orders, complements) on n vertices: every
-    non-isomorphic graph, or every split graph when split, sorted by the
-    canonical form of the generator that built the table, each graph the
-    relabeling of its class that this form gives.
+class Generation:
+    """One order of the generation table, decoded into flat buffers that
+    nothing writes (`generation`); graph(i) builds the i-th graph when one
+    is read, and graphs() each in turn."""
 
-    Deck i is the sorted tuple of distinct indices into the graphs on n - 1
+    __slots__ = ("n", "rows", "lens", "starts", "entries", "orders", "complements")
+
+    def __init__(self, n, rows, lens, starts, entries, orders, complements):
+        self.n, self.rows, self.lens, self.starts = n, rows, lens, starts
+        self.entries, self.orders, self.complements = entries, orders, complements
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+    def graph(self, i: int) -> Graph:
+        return Graph(self.n, tuple(self.rows[i * self.n:(i + 1) * self.n]))
+
+    def graphs(self):
+        """Every graph, in order, each built as the iteration reaches it."""
+        return map(self.graph, range(len(self)))
+
+
+@cache
+def generation(n: int, split: bool) -> Generation:
+    """The N graphs on n vertices: every non-isomorphic graph, or every
+    split graph when split, sorted by the canonical form of the generator
+    that built the table, each graph the relabeling of its class that this
+    form gives.  Nothing is built per graph.  The section is decoded into
+    rows, the N * n adjacency rows graph by graph, entries, the decks'
+    indices deck by deck, and complements, read-only views of one buffer
+    of 16-bit words; lens, the N deck lengths, and orders, the packed
+    orders graph by graph, both bytes, as the table holds them; and starts,
+    a read-only view of the N + 1 running offsets of the decks in entries.
+    So deck i is entries[starts[i]:starts[i] + lens[i]], and the block of
+    its entry j is orders[j * (n + 1):(j + 1) * (n + 1)].
+    Generation.graph(i) builds the i-th graph, and Generation.graphs()
+    every graph as it is iterated.
+
+    Deck i holds the sorted, distinct indices into the graphs on n - 1
     vertices of the isomorphism classes of G - v over the vertices v of the
-    i-th graph G; the graph on no vertex has the empty deck.  orders[i]
-    packs one block of n + 1 bytes per deck parent.  For the j-th parent P,
-    there is a child C of P (P plus the vertex n - 1) isomorphic to G, and
-    the block orders[i][j * (n + 1):(j + 1) * (n + 1)] is the order o that
-    carries C onto G, n bytes, then one byte nb, the neighbourhood of C's
-    vertex n - 1 as a mask of P's vertices (n - 1 <= 8 of them).  Vertex k
-    of G is vertex o[k] of C, so u and v are adjacent in G iff o[u] and
-    o[v] are in C.  G minus the vertex k with o[k] = n - 1 is then P, each
-    other k being P's vertex o[k], and k's neighbours in G are the vertices
-    u with bit o[u] of nb set.  complements[i] is the index of the class of
-    the i-th graph's complement; both classes are closed under complement,
-    so it is an involution on the indices.
+    i-th graph G; the graph on no vertex has the empty deck.  Its packed
+    orders hold one block of n + 1 bytes per deck parent.  For the j-th
+    parent P, there is a child C of P (P plus the vertex n - 1) isomorphic
+    to G, and the j-th block is the order o that carries C onto G, n bytes,
+    then one byte nb, the neighbourhood of C's vertex n - 1 as a mask of
+    P's vertices (n - 1 <= 8 of them).  Vertex k of G is vertex o[k] of C,
+    so u and v are adjacent in G iff o[u] and o[v] are in C.  G minus the
+    vertex k with o[k] = n - 1 is then P, each other k being P's vertex
+    o[k], and k's neighbours in G are the vertices u with bit o[u] of nb
+    set.  complements[i] is the index of the class of the i-th graph's
+    complement; both classes are closed under complement, so it is an
+    involution on the indices.
 
     They are read from the package's table `generation.bin`, one section
     per order, which canonical augmentation (McKay, Isomorph-free
     exhaustive generation, 1998) built once; `tests/augmentation.py`
-    rebuilds it.  Deck entries are mapped through one tuple of the parent
-    indices, so all decks share one int per parent.
+    rebuilds it.
     """
     limit = MAX_ENUM_SPLIT if split else MAX_ENUM_ALL
     if n > limit:
         raise MPartError(f"n={n} above the {'split ' if split else ''}enumeration limit {limit}")
     if n < 0:
         raise MPartError("negative order")
-    if n == 0:
-        return (Graph(0, ()),), ((),), (b"",), (0,)
-    payload, count = _section(n, split)
+    # the graph on no vertex has an empty deck and is its own complement
+    payload, count = _section(n, split) if n else (b"\0\0\0", 1)
     lens = payload[:count]
     words = array("H", payload[count:count + 2 * (count * (n + 1) + sum(lens))])
     if sys.byteorder == "big":
         words.byteswap()
-    parents = tuple(range(len(generation(n - 1, split)[0])))
-    graphs, decks, orders = [], [], []
-    row, entry, block = 0, count * (n + 1), count + 2 * len(words)
-    for k in lens:
-        graphs.append(Graph(n, tuple(words[row:row + n])))
-        decks.append(tuple(map(parents.__getitem__, words[entry:entry + k])))
-        orders.append(payload[block:block + k * (n + 1)])
-        row += n
-        entry += k
-        block += k * (n + 1)
-    return tuple(graphs), tuple(decks), tuple(orders), tuple(words[count * n:count * (n + 1)])
+    # read-only views, as every caller shares them
+    words = memoryview(words.tobytes()).cast("H")
+    starts = memoryview(array("I", accumulate(lens, initial=0)).tobytes()).cast("I")
+    return Generation(n, words[:count * n], lens, starts, words[count * (n + 1):],
+                      payload[count + 2 * len(words):], words[count * n:count * (n + 1)])
 
 
 def enumerate_graphs(n: int):
     """All non-isomorphic graphs on n vertices, in the table's order: a list
     of `generation(n, False)`'s graphs."""
-    return list(generation(n, False)[0])
+    return list(generation(n, False).graphs())
 
 
 def enumerate_split_graphs(n: int):
     """All non-isomorphic split graphs on n vertices, in the table's order: a
     list of `generation(n, True)`'s graphs."""
-    return list(generation(n, True)[0])
+    return list(generation(n, True).graphs())
 
 
 # ---------------------------------------------------------------------------

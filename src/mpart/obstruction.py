@@ -123,21 +123,26 @@ def _candidates(class_name: str, n: int):
 
     A class with a member test runs it only on the graphs whose whole deck
     is members of order n - 1 (at n = 1 the deck is the graph on no vertex,
-    a member of every class).  The class is hereditary, so no other graph
-    is a member, and the members are exactly those the test alone admits;
-    the graphs that reach the test and fail it are the class's minimal
-    non-members, the holes in chordal and the odd cycles in bipartite."""
+    a member of every class), and builds the graphs of those alone.  The
+    class is hereditary, so no other graph is a member, and the members are
+    exactly those the test alone admits; the graphs that reach the test and
+    fail it are the class's minimal non-members, the holes in chordal and
+    the odd cycles in bipartite.  A class with no member test builds no
+    graph."""
     _, split, test, dual = _CLASSES[class_name]
     if dual is not None:
         raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
-    graphs, decks, _, _ = generation(n, split)
-    if test is not None:
+    gen = generation(n, split)
+    lens, starts, entries = gen.lens, gen.starts, gen.entries
+    if test is None:
+        members = tuple(range(len(gen)))
+    else:
         below = frozenset(_candidates(class_name, n - 1)[0]) if n > 1 else {0}
-    members = tuple(i for i, G in enumerate(graphs)
-                    if test is None or below.issuperset(decks[i]) and test(G) is not None)
-    children = [[] for _ in generation(n - 1, split)[0]]
+        members = tuple(i for i, (s, k) in enumerate(zip(starts, lens))
+                        if below.issuperset(entries[s:s + k]) and test(gen.graph(i)) is not None)
+    children = [[] for _ in range(len(generation(n - 1, split)))]
     for i in members:
-        for p in decks[i]:
+        for p in entries[starts[i]:starts[i] + lens[i]]:
             children[p].append(i)
     return members, tuple(map(tuple, children))
 
@@ -182,30 +187,35 @@ def _forbidden(M: PatternMatrix, ones: int) -> tuple[int, ...]:
                  for adj_ok, nonadj_ok in zip(*M.masks))
 
 
-def _extend(deck, packed, n, partitioned, spread, forbid, top: bool):
-    """Parts of a candidate on n vertices, one byte per vertex, from the
-    first parent in its deck whose parts extend to the vertex the parent
-    lacks, or None when none does.  Nothing reads the parts at the top
-    order, so none are built there, and an extending candidate gets b"".
+def _extend(gen, i, partitioned, spread, forbid, top: bool):
+    """Parts of the i-th candidate of the generation gen, one byte per
+    vertex, from the first parent in its deck whose parts extend to the
+    vertex the parent lacks, or None when none does.  Nothing reads the
+    parts at the top order, so none are built there, and an extending
+    candidate gets b"".
 
     partitioned maps each partitionable parent to (code, parts), with code
-    as `_layout` encodes parts.  packed, the candidate's entry of the
-    generation's orders, gives the new vertex's neighbourhood nb in the
-    parent's numbering, so code & spread[nb] holds the parts of its
-    neighbours and of its non-neighbours, and the new vertex takes the
-    lowest part q whose forbid[q] (`_forbidden`) holds none of them.  The
-    parent's parts carry over through the order `generation` keeps for it."""
-    for j, p in enumerate(deck):
-        code, parts = partitioned[p]
+    as `_layout` encodes parts.  The candidate's packed orders give the new
+    vertex's neighbourhood nb in the parent's numbering, so code &
+    spread[nb] holds the parts of its neighbours and of its non-neighbours,
+    and the new vertex takes the lowest part q whose forbid[q]
+    (`_forbidden`) holds none of them.  The parent's parts carry over
+    through the order `generation` keeps for it.  The deck and its blocks
+    are read in place, entry j of gen.entries with the block at j * (n + 1)
+    of gen.orders, not built: this runs once per open candidate."""
+    n, entries, orders = gen.n, gen.entries, gen.orders
+    start = gen.starts[i]
+    for j in range(start, start + gen.lens[i]):
+        code, parts = partitioned[entries[j]]
         end = j * (n + 1) + n  # the block's nb
-        seen = code & spread[packed[end]]
+        seen = code & spread[orders[end]]
         for q, bad in enumerate(forbid):
             if not seen & bad:
                 if top:
                     return b""
                 # vertex k of the graph takes the part of the parent's
                 # vertex order[k], and q for the new vertex n - 1
-                return bytes(map((parts + bytes((q,))).__getitem__, packed[end - n:end]))
+                return bytes(map((parts + bytes((q,))).__getitem__, orders[end - n:end]))
     return None
 
 
@@ -241,10 +251,11 @@ def enumerate_minimal_obstructions(
     candidate is obstructed and not minimal, and it is not visited.
 
     An open candidate first tries to extend a deck parent's parts by one
-    vertex (`_extend`).  Only when none extends is it classified by
-    `classify_minimality`; it is then partitionable or minimal.  The parts
-    of the partitionable candidates, each with its integer code
-    (`_layout`), made once, are the only state kept for the next order.
+    vertex (`_extend`).  Only when none extends is its graph built and
+    classified by `classify_minimality`; it is then partitionable or
+    minimal.  The parts of the partitionable candidates, each with its
+    integer code (`_layout`), made once, are the only state kept for the
+    next order.
     Nothing reads the top order's parts, so none are built or kept there.
     The outputs are those of classifying every open candidate: an
     extended candidate is partitionable, which emits nothing; every other
@@ -283,23 +294,24 @@ def enumerate_minimal_obstructions(
     # index; the graph on no vertex partitions
     partitioned = {0: (0, b"")}
     for n in range(1, n_max + 1):
-        graphs, decks, orders, complements = generation(n, split)
+        gen = generation(n, split)
+        lens = gen.lens
         _, children = _candidates(walk, n)
         top = n == n_max
         # index -> the number of partitionable graphs in its deck; the open
         # candidates have them all, the others an obstructed deletion
         reached = Counter(chain.from_iterable(map(children.__getitem__, partitioned)))
         parts_now: dict[int, tuple[int, bytes]] = {}
-        for i in [i for i, k in reached.items() if k == len(decks[i])]:
-            parts = _extend(decks[i], orders[i], n, partitioned, spread, forbid, top)
+        for i in [i for i, k in reached.items() if k == lens[i]]:
+            parts = _extend(gen, i, partitioned, spread, forbid, top)
             if parts is None:
-                G = graphs[i]
+                G = gen.graph(i)
                 status, payload = classify_minimality(G, W)
                 if status == "not-minimal":
                     raise InternalError(
                         f"{to_graph6(G)} has an obstructed deletion missing from its deck")
                 if status == "minimal":
-                    found.append(((n, complements[i]), complement(G), payload) if dual
+                    found.append(((n, gen.complements[i]), complement(G), payload) if dual
                                  else ((n, i), G, payload))
                     continue
                 parts = bytes(payload.parts)

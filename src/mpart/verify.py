@@ -26,7 +26,7 @@ def _representatives(graphs) -> set[str]:
     for G in graphs:
         degrees = sorted(map(G.degree, range(G.n)))
         pairs = list(combinations(range(G.n), 2))
-        for H in gr.generation(G.n, False)[0]:
+        for H in gr.generation(G.n, False).graphs():
             if sorted(map(H.degree, range(H.n))) == degrees and any(
                     all(G.has_edge(p[u], p[v]) == H.has_edge(u, v) for u, v in pairs)
                     for p in permutations(range(G.n))):
@@ -72,7 +72,7 @@ def check_split_characterization():
     # cross-check solvability of every candidate against the counting oracle
     mismatches = 0
     for n in range(1, 7):
-        for G in gr.generation(n, False)[0]:
+        for G in gr.generation(n, False).graphs():
             if (sv.count_partitions(G, M) > 0) != (sv.solve(G, M) is not None):
                 mismatches += 1
     ok = got == want and mismatches == 0
@@ -107,7 +107,7 @@ def check_class_patterns():
             own = pat.make_matrix([pattern[0] + pat.STAR, pat.STAR + pattern[1]])
             members = [gr.complement(G) if dual else G
                        for n in range(1, ob.CLASS_LIMITS[class_name] + 1)
-                       for G in map(gr.generation(n, split)[0].__getitem__,
+                       for G in map(gr.generation(n, split).graph,
                                     ob._candidates(dual or class_name, n)[0])]
             sides = [(G, rec.RECOGNIZERS[class_name](G)) for G in members]
             failures += sum(side is None or not sv.validate(G, own, side) for G, side in sides)
@@ -248,7 +248,7 @@ def check_prop4_homogeneity():
 
 def check_solver_exactness():
     matrices = _matrices_3x3("01*")
-    graphs = [G for n in range(1, 6) for G in gr.generation(n, False)[0]]
+    graphs = [G for n in range(1, 6) for G in gr.generation(n, False).graphs()]
     disagreements = 0
     for M in matrices:
         for G in graphs:
@@ -343,6 +343,17 @@ def check_bound_consistency():
 
 
 # --- harness --------------------------------------------------------------
+
+def run_criterion(name: str, budget: float, check) -> tuple[bool, str]:
+    """(passed, line): run one criterion's check, timed.  It passes when the
+    check holds within its budget in seconds; the line is PASS or FAIL, the
+    name, the seconds taken and what the check measured, tab-separated."""
+    t0 = time.perf_counter()
+    ok, measured = check()
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed <= budget
+    return ok, f"{'PASS' if ok else 'FAIL'}\t{name}\t{elapsed:.2f}s\t{measured}"
+
 
 CRITERIA = [
     # (name, budget seconds, level, callable)

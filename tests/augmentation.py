@@ -293,6 +293,18 @@ def section(n, split):
     return bytes(map(len, decks)) + words.tobytes() + b"".join(orders)
 
 
+def decoded(n, split):
+    """`gr.generation(n, split)` in `generate`'s form, read as `gr.generation`
+    lays it out: every graph built through its accessor, every deck and
+    packed order sliced from the flat buffers, and the complements."""
+    gen = gr.generation(n, split)
+    spans = [(s, s + k) for s, k in zip(gen.starts, gen.lens)]
+    return (tuple(gen.graphs()),
+            tuple(tuple(gen.entries[s:e]) for s, e in spans),
+            tuple(gen.orders[s * (n + 1):e * (n + 1)] for s, e in spans),
+            tuple(gen.complements))
+
+
 def table():
     """The table file: the header, then every section, compressed."""
     keys = [(n, False) for n in range(1, gr.MAX_ENUM_ALL + 1)]

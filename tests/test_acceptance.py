@@ -5,7 +5,6 @@ equivalent `mpart verify --level full` command.
 """
 
 import subprocess
-import time
 
 import pytest
 
@@ -18,13 +17,10 @@ from mpart import verify as vf
     ids=[name for name, *_ in vf.CRITERIA],
 )
 def test_criterion(name, budget, func):
-    t0 = time.perf_counter()
-    ok, measured = func()
-    elapsed = time.perf_counter() - t0
-    verdict = "PASS" if ok and elapsed <= budget else "FAIL"
-    print(f"{verdict}\t{name}\t{elapsed:.2f}s (budget {budget}s)\t{measured}")
-    assert ok, f"{name}: {measured}"
-    assert elapsed <= budget, f"{name}: took {elapsed:.2f}s, budget {budget}s"
+    # the rule `mpart verify` applies: the check holds within its budget
+    ok, line = vf.run_criterion(name, budget, func)
+    print(line)
+    assert ok, f"{line} (budget {budget}s)"
 
 
 def test_enumeration_determinism_kills_late_children(monkeypatch):

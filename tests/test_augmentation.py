@@ -21,7 +21,9 @@ class TestTable:
                 want = aug.generate(n, split)
                 if n:
                     assert gr._section(n, split) == (aug.section(n, split), len(want[0]))
-                assert gr.generation(n, split) == want
+                # graph by graph, deck by deck, order by order, and every
+                # complement, each built through the section's accessors
+                assert aug.decoded(n, split) == want
 
     def test_the_header_covers_the_file(self):
         data = aug.TABLE.read_bytes()

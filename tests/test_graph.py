@@ -275,11 +275,11 @@ class TestEnumeration:
 
 
 def graph_decks(n):
-    return gr.generation(n, False)[1]
+    return aug.decoded(n, False)[1]
 
 
 def split_graph_decks(n):
-    return gr.generation(n, True)[1]
+    return aug.decoded(n, True)[1]
 
 
 def brute_deck(G, index):
@@ -306,10 +306,10 @@ class TestDecks:
         (gr.enumerate_split_graphs, split_graph_decks, True, 8),
     ])
     def test_orders_carry_each_parent_onto_the_graph(self, graphs, decks, split, top):
-        assert gr.generation(0, split)[2] == (b"",)
+        assert aug.decoded(0, split)[2] == (b"",)
         for n in range(1, top + 1):
             parents = graphs(n - 1)
-            orders = gr.generation(n, split)[2]
+            orders = aug.decoded(n, split)[2]
             assert len(orders) == len(graphs(n))
             for G, deck, packed in zip(graphs(n), decks(n), orders):
                 # one block per deck parent: the order, then the new
@@ -329,7 +329,7 @@ class TestDecks:
         # nb is the neighbourhood of G's vertex k with order[k] = n - 1,
         # each neighbour u as the parent's vertex order[u]
         for n in range(1, top + 1):
-            graphs, decks, orders, _ = gr.generation(n, split)
+            graphs, decks, orders, _ = aug.decoded(n, split)
             for G, deck, packed in zip(graphs, decks, orders):
                 for j in range(len(deck)):
                     block = packed[j * (n + 1):(j + 1) * (n + 1)]
@@ -348,9 +348,13 @@ class TestDecks:
                     assert all(member[n - 1][j] for j in deck)
 
     def test_immutable(self):
-        decks = split_graph_decks(5)
-        assert isinstance(decks, tuple)
-        assert all(isinstance(deck, tuple) for deck in decks)
+        # every caller shares the cached section: none of its buffers can be
+        # written
+        gen = gr.generation(5, True)
+        assert isinstance(gen.lens, bytes) and isinstance(gen.orders, bytes)
+        for view in (gen.rows, gen.starts, gen.entries, gen.complements):
+            with pytest.raises(TypeError):
+                view[0] = 1
 
     def test_bad_order(self):
         with pytest.raises(errors.MPartError, match="n=9 above the enumeration limit 8"):
@@ -367,7 +371,7 @@ class TestComplements:
     @pytest.mark.parametrize("split, top", [(False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT)])
     def test_each_index_is_the_class_of_the_complement(self, split, top):
         for n in range(top + 1):
-            graphs, _, _, complements = gr.generation(n, split)
+            graphs, _, _, complements = aug.decoded(n, split)
             assert len(complements) == len(graphs)
             assert all(complements[c] == i for i, c in enumerate(complements))
             for G, c in zip(graphs, complements):

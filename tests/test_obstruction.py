@@ -64,10 +64,10 @@ def own_candidates(class_name, n):
     """(index, graph) of the class's members on n vertices, in the
     generation's order; the cobipartite ones are the complements of the
     bipartite members, at their indices."""
-    graphs = gr.generation(n, class_name == "split")[0]
+    gen = gr.generation(n, class_name == "split")
     if class_name == "cobipartite":
-        return [(i, gr.complement(graphs[i])) for i in ob._candidates("bipartite", n)[0]]
-    return [(i, graphs[i]) for i in ob._candidates(class_name, n)[0]]
+        return [(i, gr.complement(gen.graph(i))) for i in ob._candidates("bipartite", n)[0]]
+    return [(i, gen.graph(i)) for i in ob._candidates(class_name, n)[0]]
 
 
 def classify_open_report(M, class_name, n_max):
@@ -79,7 +79,7 @@ def classify_open_report(M, class_name, n_max):
     obstructed = set()
     for n in range(1, n_max + 1):
         now = set()
-        decks = gr.generation(n, class_name == "split")[1]
+        decks = aug.decoded(n, class_name == "split")[1]
         for i, G in own_candidates(class_name, n):
             if not obstructed.isdisjoint(decks[i]):
                 now.add(i)
@@ -130,24 +130,27 @@ EXTEND_MATRICES = [pat.parse_matrix(rows) for rows in [
 
 def drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch):
     # K3 + K1 is obstructed but not minimal under 2-colouring.  With K3,
-    # the last entry, dropped from its deck (and its block from the
-    # packed orders), the one graph left there, K2 + K1, partitions, so
-    # the walk reaches K3 + K1 as open (the shortened deck carries its own
-    # length), no witness extends, and classify_minimality finds the
-    # obstructed deletion.  The candidates are taken before the table is
-    # patched, so that no state of _candidates's cache decides what they are
-    graphs, decks, orders, complements = gr.generation(4, False)
+    # the last entry, dropped from its deck (its length one less, which
+    # also drops its last block from the packed orders), the one graph
+    # left there, K2 + K1, partitions, so the walk reaches K3 + K1 as open
+    # (the shortened deck carries its own length), no witness extends, and
+    # classify_minimality finds the obstructed deletion.  The candidates
+    # are taken before the table is patched, so that no state of
+    # _candidates's cache decides what they are
+    gen = gr.generation(4, False)
     k3 = [aug.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
         aug.canonical_form(gr.complete(3)))
-    i = [aug.canonical_form(G) for G in graphs].index(
+    i = [aug.canonical_form(G) for G in gr.enumerate_graphs(4)].index(
         aug.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1))))
-    assert len(decks[i]) == 2 and decks[i][-1] == k3
-    decks, orders = list(decks), list(orders)
-    decks[i], orders[i] = decks[i][:-1], orders[i][:5]
+    assert gen.lens[i] == 2 and aug.decoded(4, False)[1][i][-1] == k3
+    lens = bytearray(gen.lens)
+    lens[i] -= 1
+    patched = gr.Generation(4, gen.rows, bytes(lens), gen.starts, gen.entries, gen.orders,
+                            gen.complements)
     members, children = ob._candidates("all", 4)
     generation, candidates = ob.generation, ob._candidates
     monkeypatch.setattr(ob, "generation", lambda n, split: (
-        (graphs, decks, orders, complements) if (n, split) == (4, False)
+        patched if (n, split) == (4, False)
         else generation(n, split)))
     monkeypatch.setattr(ob, "_candidates", lambda class_name, n: (
         (members, children) if (class_name, n) == ("all", 4)
@@ -312,22 +315,16 @@ class TestEnumeration:
         # every open candidate's extension equals the one found vertex by
         # vertex from the candidate's own adjacency, under the matrix the
         # walk runs (in cobipartite, the bipartite walk under the complement
-        # matrix); at the top order only whether one exists.  A deck parent,
-        # its order and the new vertex's neighbourhood determine the graph,
-        # so a graph's deck and packed orders find its index
+        # matrix); at the top order only whether one exists
         extend = ob._extend
-        split = class_name == "split"
         limit = ob.CLASS_LIMITS[class_name]
-        index = [{(tuple(deck), packed): i for i, (deck, packed)
-                  in enumerate(zip(*gr.generation(n, split)[1:3]))} for n in range(limit + 1)]
-        assert [len(ix) for ix in index] == [len(gr.generation(n, split)[0])
-                                             for n in range(limit + 1)]
+        tables = [aug.decoded(n, class_name == "split") for n in range(limit + 1)]
         outcomes = set()
 
-        def checking(deck, packed, n, partitioned, spread, forbid, top):
-            got = extend(deck, packed, n, partitioned, spread, forbid, top)
-            want = per_vertex_extend(gr.generation(n, split)[0][index[n][tuple(deck), packed]],
-                                     deck, packed, partitioned, W)
+        def checking(gen, i, partitioned, spread, forbid, top):
+            got = extend(gen, i, partitioned, spread, forbid, top)
+            graphs, decks, orders, _ = tables[gen.n]
+            want = per_vertex_extend(graphs[i], decks[i], orders[i], partitioned, W)
             if top:
                 assert (got is None) == (want is None)
             else:
@@ -377,8 +374,8 @@ class TestEnumeration:
         assert sorted(drawn) == list(range(1, limit + 1))
         for n, members in drawn.items():
             assert members and all(a < b for a, b in zip(members, members[1:])), n
-            graphs = gr.generation(n, split)[0]
-            forms = [aug.canonical_form(graphs[i]) for i in members]
+            gen = gr.generation(n, split)
+            forms = [aug.canonical_form(gen.graph(i)) for i in members]
             assert all(a < b for a, b in zip(forms, forms[1:])), n
 
     @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
@@ -392,9 +389,9 @@ class TestEnumeration:
         split = class_name == "split"
         walk = "bipartite" if class_name == "cobipartite" else class_name
         for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
-            decks = gr.generation(n, split)[1]
+            decks = aug.decoded(n, split)[1]
             members, children = ob._candidates(walk, n)
-            assert len(children) == len(gr.generation(n - 1, split)[0])
+            assert len(children) == len(gr.generation(n - 1, split))
             assert all(len(set(deck)) == len(deck) for deck in decks)
             edges = [(p, i) for p, kids in enumerate(children) for i in kids]
             assert edges == sorted((p, i) for i in members for p in decks[i]), n
@@ -416,7 +413,7 @@ class TestEnumeration:
         # and its position among the members differ
         first = 3 if class_name == "bipartite" else 4
         for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
-            graphs = gr.generation(n, False)[0]
+            graphs = gr.enumerate_graphs(n)
             want = [i for i, G in enumerate(graphs)
                     if rec.RECOGNIZERS[class_name](G) is not None]
             members = ob._candidates(class_name, n)[0]
@@ -490,6 +487,56 @@ class TestEnumeration:
             for k in range(1, G.n):
                 for gone in combinations(range(G.n), k):
                     assert sv.solve(delete_vertices(G, gone), M) is not None
+
+
+class TestColdBuilds:
+    """A cold run builds a Graph only where one is read: none to decode the
+    table or to take the candidates of a class with no member test, and in
+    the walk one per candidate it classifies."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        # (built, classified), from cold caches: the orders of the Graphs
+        # constructed anywhere but inside classify_minimality, whose
+        # deletions are its own, and the graphs it classified
+        built, classified, inside = [], [], []
+        init, classify = gr.Graph.__init__, ob.classify_minimality
+
+        def counting_init(self, n, adj):
+            if not inside:
+                built.append(n)
+            init(self, n, adj)
+
+        def counting_classify(G, M):
+            classified.append(G)
+            inside.append(G)
+            try:
+                return classify(G, M)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(gr.Graph, "__init__", counting_init)
+        monkeypatch.setattr(ob, "classify_minimality", counting_classify)
+        gr.generation.cache_clear()
+        ob._candidates.cache_clear()
+        return built, classified
+
+    def test_decoding_and_unfiltered_candidates_build_no_graph(self, counted):
+        built, _ = counted
+        for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT)):
+            for n in range(top + 1):
+                gr.generation(n, split)
+        for class_name in ("all", "split"):
+            for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
+                ob._candidates(class_name, n)
+        assert built == []
+
+    def test_the_all_class_walk_builds_only_what_it_classifies(self, counted):
+        # 63 of the 13,598 graphs on 1 to 8 vertices under this matrix
+        built, classified = counted
+        report = ob.enumerate_minimal_obstructions(pat.parse_matrix("0*1;*1*;1*0"), "all", 8)
+        assert report.obstructions
+        assert 0 < len(built) <= len(classified) < 100
 
 
 # class -> the diagonals of its 2-part pattern

@@ -85,23 +85,23 @@ def _forms_and_decks(graphs, decks, top):
 
 
 def test_canonical_order_and_decks_of_all_graphs():
-    lines = _forms_and_decks(gr.enumerate_graphs, lambda n: gr.generation(n, False)[1], 7)
+    lines = _forms_and_decks(gr.enumerate_graphs, lambda n: aug.decoded(n, False)[1], 7)
     assert _digest(lines) == "f1ba83c23d5b7f817c89582d51cb47b494a91d8af2fe37060d1b89bf47ba0a30"
 
 
 def test_canonical_order_and_decks_of_split_graphs():
-    lines = _forms_and_decks(gr.enumerate_split_graphs, lambda n: gr.generation(n, True)[1], 8)
+    lines = _forms_and_decks(gr.enumerate_split_graphs, lambda n: aug.decoded(n, True)[1], 8)
     assert _digest(lines) == "da1683a0bf99338e63974f37c5c9b98d160bc8756244d4d16e247c77aaf63b76"
 
 
 def test_canonical_order_and_decks_of_all_graphs_at_the_limit():
-    lines = _forms_and_decks(gr.enumerate_graphs, lambda n: gr.generation(n, False)[1],
+    lines = _forms_and_decks(gr.enumerate_graphs, lambda n: aug.decoded(n, False)[1],
                              gr.MAX_ENUM_ALL)
     assert _digest(lines) == "493dc5e3bdbe17a4d72c7da96fb953160f98d2e8195ab717f9d2331bf9e5036a"
 
 
 def test_canonical_order_and_decks_of_split_graphs_at_the_limit():
-    lines = _forms_and_decks(gr.enumerate_split_graphs, lambda n: gr.generation(n, True)[1],
+    lines = _forms_and_decks(gr.enumerate_split_graphs, lambda n: aug.decoded(n, True)[1],
                              gr.MAX_ENUM_SPLIT)
     assert _digest(lines) == "8094439b5be9cdd5b8461e0a63baad0e25e60b42c3191268a64d76724a366250"
 
@@ -109,7 +109,7 @@ def test_canonical_order_and_decks_of_split_graphs_at_the_limit():
 def test_packed_orders_at_the_class_limits():
     # the blocks of every graph and deck parent: an order, then the new
     # vertex's neighbourhood byte
-    lines = (" ".join(o.hex() for o in gr.generation(n, split)[2])
+    lines = (" ".join(o.hex() for o in aug.decoded(n, split)[2])
              for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT))
              for n in range(top + 1))
     assert _digest(lines) == "4357e63187dabd7d9fc850540c20b573ce0e90189bb1db91083630494655fcb5"
@@ -121,7 +121,7 @@ def test_chordal_orders_at_the_class_limits():
     lines = ("-" if (order := rec.is_chordal(G)) is None else " ".join(map(str, order))
              for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT))
              for n in range(top + 1)
-             for G in gr.generation(n, split)[0])
+             for G in aug.decoded(n, split)[0])
     assert _digest(lines) == "07f84bec5b5931dbe977639a666982ef4cf2a9ca60604a930e7874dddd27cf4d"
 
 
