@@ -13,7 +13,6 @@ import json
 import math
 import signal
 import sys
-from pathlib import Path
 
 from . import __version__
 from . import obstruction as ob
@@ -30,7 +29,8 @@ class _Timeout(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise MPartError(f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from exc
 

@@ -15,7 +15,6 @@ import struct
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
@@ -26,12 +25,60 @@ MAX_ENUM_ALL = 8
 MAX_ENUM_SPLIT = 9
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Frozen:
+    """The base of the package's immutable values, as a frozen dataclass
+    makes them: a subclass names its fields in _fields, and is equal only
+    to an instance of its own class with equal fields, and hashed, shown
+    and pickled by them.  Assigning or deleting an attribute raises
+    AttributeError, so an __init__ sets its fields through
+    object.__setattr__ or the slots' own setters.  A class compared and
+    hashed on the walk's hot path (Graph, PartAssignment) states __eq__
+    and __hash__ over its own fields, as fast as a dataclass's."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Frozen):
     """Immutable graph; adj[v] is the neighbor bitmask of vertex v."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = _fields = ("n", "adj")
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        _set_n(self, n)
+        _set_adj(self, adj)
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return (self.n, self.adj) == (other.n, other.adj)
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -41,6 +88,11 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n) if self.adj[u] >> v & 1]
+
+
+# the slots' setters, which Graph.__init__ calls directly: the walk and
+# delete_vertex build graphs on the hot path
+_set_n, _set_adj = Graph.n.__set__, Graph.adj.__set__
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -171,12 +223,14 @@ def _section(n: int, split: bool) -> tuple[bytes, int]:
     n >= 1 vertices, or split graphs when split.
 
     The table starts with a header of little-endian 32-bit words: the end
-    offset of each section, then its number of graphs.  A section's payload
-    holds N bytes, the length of each deck, then little-endian 16-bit words:
-    the N * n rows of adjacency, graph by graph, the N indices of the
-    graphs' complements, and every deck's entries, deck by deck; then the
-    packed orders, graph by graph.  A table that cannot be read, or a
-    section whose length does not fit its count, raises InternalError."""
+    offset of each section, then its number of graphs.  Every section's
+    payload, split or not, holds N bytes, the length of each deck, then N
+    bytes, the class byte of each graph (bit 0 set when it is bipartite,
+    bit 1 when it is chordal), then little-endian 16-bit words: the N * n
+    rows of adjacency, graph by graph, the N indices of the graphs'
+    complements, and every deck's entries, deck by deck; then the packed
+    orders, graph by graph.  A table that cannot be read, or a section
+    whose length does not fit its count, raises InternalError."""
     k = (MAX_ENUM_ALL if split else 0) + n - 1
     where = f"the {'split ' if split else ''}graphs of order {n} in {_TABLE}"
     try:
@@ -189,7 +243,7 @@ def _section(n: int, split: bool) -> tuple[bytes, int]:
         raise InternalError(f"cannot read {where}: {exc}") from exc
     count = head[_SECTIONS + k]
     entries = sum(payload[:count])
-    if len(payload) != count + 2 * (count * (n + 1) + entries) + entries * (n + 1):
+    if len(payload) != 2 * count + 2 * (count * (n + 1) + entries) + entries * (n + 1):
         raise InternalError(f"{where}: {len(payload)} bytes do not fit a count of {count} graphs")
     return payload, count
 
@@ -199,11 +253,12 @@ class Generation:
     nothing writes (`generation`); graph(i) builds the i-th graph when one
     is read, and graphs() each in turn."""
 
-    __slots__ = ("n", "rows", "lens", "starts", "entries", "orders", "complements")
+    __slots__ = ("n", "rows", "lens", "starts", "entries", "orders", "complements", "classes")
 
-    def __init__(self, n, rows, lens, starts, entries, orders, complements):
+    def __init__(self, n, rows, lens, starts, entries, orders, complements, classes):
         self.n, self.rows, self.lens, self.starts = n, rows, lens, starts
         self.entries, self.orders, self.complements = entries, orders, complements
+        self.classes = classes
 
     def __len__(self) -> int:
         return len(self.lens)
@@ -224,9 +279,10 @@ def generation(n: int, split: bool) -> Generation:
     form gives.  Nothing is built per graph.  The section is decoded into
     rows, the N * n adjacency rows graph by graph, entries, the decks'
     indices deck by deck, and complements, read-only views of one buffer
-    of 16-bit words; lens, the N deck lengths, and orders, the packed
-    orders graph by graph, both bytes, as the table holds them; and starts,
-    a read-only view of the N + 1 running offsets of the decks in entries.
+    of 16-bit words; lens, the N deck lengths, classes, the N class bytes,
+    and orders, the packed orders graph by graph, all bytes, as the table
+    holds them; and starts, a read-only view of the N + 1 running offsets
+    of the decks in entries.
     So deck i is entries[starts[i]:starts[i] + lens[i]], and the block of
     its entry j is orders[j * (n + 1):(j + 1) * (n + 1)].
     Generation.graph(i) builds the i-th graph, and Generation.graphs()
@@ -245,7 +301,10 @@ def generation(n: int, split: bool) -> Generation:
     o[k], and k's neighbours in G are the vertices u with bit o[u] of nb
     set.  complements[i] is the index of the class of the i-th graph's
     complement; both classes are closed under complement, so it is an
-    involution on the indices.
+    involution on the indices.  classes[i] has bit 0 set when the i-th
+    graph is bipartite and bit 1 when it is chordal.  Both classes are
+    hereditary, so the deck of a graph with a bit set holds only graphs
+    with that bit set.
 
     They are read from the package's table `generation.bin`, one section
     per order, which canonical augmentation (McKay, Isomorph-free
@@ -257,17 +316,19 @@ def generation(n: int, split: bool) -> Generation:
         raise MPartError(f"n={n} above the {'split ' if split else ''}enumeration limit {limit}")
     if n < 0:
         raise MPartError("negative order")
-    # the graph on no vertex has an empty deck and is its own complement
-    payload, count = _section(n, split) if n else (b"\0\0\0", 1)
-    lens = payload[:count]
-    words = array("H", payload[count:count + 2 * (count * (n + 1) + sum(lens))])
+    # the graph on no vertex has an empty deck, is bipartite and chordal,
+    # and is its own complement
+    payload, count = _section(n, split) if n else (b"\0\3\0\0", 1)
+    lens, classes = payload[:count], payload[count:2 * count]
+    words = array("H", payload[2 * count:2 * count + 2 * (count * (n + 1) + sum(lens))])
     if sys.byteorder == "big":
         words.byteswap()
     # read-only views, as every caller shares them
     words = memoryview(words.tobytes()).cast("H")
     starts = memoryview(array("I", accumulate(lens, initial=0)).tobytes()).cast("I")
     return Generation(n, words[:count * n], lens, starts, words[count * (n + 1):],
-                      payload[count + 2 * len(words):], words[count * n:count * (n + 1)])
+                      payload[2 * count + 2 * len(words):], words[count * n:count * (n + 1)],
+                      classes)
 
 
 def enumerate_graphs(n: int):

@@ -4,14 +4,14 @@ closed-form size bounds."""
 
 from __future__ import annotations
 
+import fnmatch
 import json
+import os
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import comb
-from pathlib import Path
 from sys import intern
 
 from . import __version__
@@ -20,6 +20,7 @@ from .graph import (
     MAX_ENUM_ALL,
     MAX_ENUM_SPLIT,
     MAX_VERTICES,
+    Frozen,
     Graph,
     complement,
     delete_vertex,
@@ -28,21 +29,23 @@ from .graph import (
     to_graph6,
 )
 from .pattern import STAR, PatternMatrix, check_kl, complement_matrix, make_m_kt
-from .recognize import is_bipartite, is_chordal
 from .solver import PartAssignment, solve
 
 
-@dataclass(frozen=True)
-class MinimalityCertificate:
-    """A minimal obstruction and a witness for each of its deletions.  Equal
-    certificates are shared through a weak table (_CERTIFICATES)."""
+class MinimalityCertificate(Frozen):
+    """A minimal obstruction and a witness for each of its deletions:
+    witnesses[v] partitions graph - v.  Equal certificates are shared
+    through a weak table (_CERTIFICATES), so a certificate has a __dict__
+    and can be weakly referenced."""
 
-    graph: Graph
-    witnesses: tuple[PartAssignment, ...]  # witnesses[v] partitions graph - v
+    _fields = ("graph", "witnesses")
+
+    def __init__(self, graph: Graph, witnesses: tuple[PartAssignment, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationReport:
+class EnumerationReport(Frozen):
     """Minimal obstructions of the class up to order n_max, as (graph6,
     certificate) pairs in the generation table's order, with witnesses
     under matrix.  Each graph6 is the table's representative of its class
@@ -50,10 +53,12 @@ class EnumerationReport:
     table's bipartite representative, which is in general not the table's
     own, and the pairs are sorted into the table's order of their classes."""
 
-    matrix: PatternMatrix
-    class_name: str
-    n_max: int
-    obstructions: tuple[tuple[str, MinimalityCertificate], ...]
+    __slots__ = _fields = ("matrix", "class_name", "n_max", "obstructions")
+
+    def __init__(self, matrix: PatternMatrix, class_name: str, n_max: int,
+                 obstructions: tuple[tuple[str, MinimalityCertificate], ...]):
+        for name, value in zip(self._fields, (matrix, class_name, n_max, obstructions)):
+            object.__setattr__(self, name, value)
 
     @property
     def counts(self) -> dict[int, int]:
@@ -88,23 +93,22 @@ def classify_minimality(G: Graph, M: PatternMatrix):
 
 # class name -> (part patterns as PatternMatrix.star_blocks names them,
 # split: whether the candidates come from the split graphs' generation
-# rather than all graphs', member test or None for every graph generated,
-# the class whose walk it runs under the complement matrix
-# (enumerate_minimal_obstructions), having no candidates of its own, or
-# None).  A class's largest order (CLASS_LIMITS) is that of its half of the
-# generation table.  Every graph has the pattern "*"; split, bipartite and
-# cobipartite graphs split into an independent set and a clique, two
-# independent sets, or two cliques.  Enumeration runs in the generation's
-# own indices, and a deck holds indices of the generation at order n - 1,
-# so every class must be hereditary: each G - v of a member is a member.
-# `_candidates` relies on it too: the member test sees only the graphs
-# whose whole deck is members, since no other graph can be one.
+# rather than all graphs', the class's bit in the generation's class bytes
+# or None for every graph generated, the class whose walk it runs under the
+# complement matrix (enumerate_minimal_obstructions), having no candidates
+# of its own, or None).  A class's largest order (CLASS_LIMITS) is that of
+# its half of the generation table.  Every graph has the pattern "*";
+# split, bipartite and cobipartite graphs split into an independent set and
+# a clique, two independent sets, or two cliques.  Enumeration runs in the
+# generation's own indices, and a deck holds indices of the generation at
+# order n - 1, so every class must be hereditary: each G - v of a member is
+# a member.
 _CLASSES = {
     "all": ((STAR,), False, None, None),
     "split": ((STAR, "01"), True, None, None),
-    "bipartite": ((STAR, "00"), False, is_bipartite, None),
+    "bipartite": ((STAR, "00"), False, 1, None),
     "cobipartite": ((STAR, "11"), False, None, "bipartite"),
-    "chordal": ((STAR,), False, is_chordal, None),
+    "chordal": ((STAR,), False, 2, None),
 }
 CLASS_LIMITS = {name: MAX_ENUM_SPLIT if split else MAX_ENUM_ALL
                 for name, (_, split, _, _) in _CLASSES.items()}
@@ -115,31 +119,21 @@ def _candidates(class_name: str, n: int):
     """(members, children) of the class on n >= 1 vertices, both in the
     indices of `generation(n, split)`.
 
-    members is the sorted tuple of the indices of the class's members.
-    children[p], for each index p of the generation on n - 1 vertices, is
-    the sorted tuple of the members whose deck holds p: the inverse of the
-    members' decks.  A class that runs another's walk (cobipartite) has no
-    candidates and is refused.
-
-    A class with a member test runs it only on the graphs whose whole deck
-    is members of order n - 1 (at n = 1 the deck is the graph on no vertex,
-    a member of every class), and builds the graphs of those alone.  The
-    class is hereditary, so no other graph is a member, and the members are
-    exactly those the test alone admits; the graphs that reach the test and
-    fail it are the class's minimal non-members, the holes in chordal and
-    the odd cycles in bipartite.  A class with no member test builds no
-    graph."""
-    _, split, test, dual = _CLASSES[class_name]
+    members is the sorted tuple of the indices of the class's members: the
+    graphs whose class byte has the class's bit set (`generation`), or
+    every graph when the class has no bit.  children[p], for each index p
+    of the generation on n - 1 vertices, is the sorted tuple of the members
+    whose deck holds p: the inverse of the members' decks.  The class is
+    hereditary, so every member's deck holds only members of order n - 1,
+    and the walk needs no other children.  A class that runs another's walk
+    (cobipartite) has no candidates and is refused.  No graph is built."""
+    _, split, bit, dual = _CLASSES[class_name]
     if dual is not None:
         raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
     gen = generation(n, split)
     lens, starts, entries = gen.lens, gen.starts, gen.entries
-    if test is None:
-        members = tuple(range(len(gen)))
-    else:
-        below = frozenset(_candidates(class_name, n - 1)[0]) if n > 1 else {0}
-        members = tuple(i for i, (s, k) in enumerate(zip(starts, lens))
-                        if below.issuperset(entries[s:s + k]) and test(gen.graph(i)) is not None)
+    members = range(len(gen))
+    members = tuple(members if bit is None else compress(members, map(bit.__and__, gen.classes)))
     children = [[] for _ in range(len(generation(n - 1, split)))]
     for i in members:
         for p in entries[starts[i]:starts[i] + lens[i]]:
@@ -455,19 +449,20 @@ def report_to_tsv(report: EnumerationReport) -> str:
     return f"order\tcount\n{counts}\n\n" + "\n".join(lines) + "\n"
 
 
-def save_catalog(report: EnumerationReport, root) -> Path:
+def save_catalog(report: EnumerationReport, root) -> str:
     """Persist data/<matrix-slug>/<class>/n<k>.g6 files plus a manifest that
     records the mpart version writing it, replacing the n<k>.g6 files of any
-    earlier run there."""
-    base = Path(root) / matrix_slug(report.matrix) / report.class_name
-    base.mkdir(parents=True, exist_ok=True)
+    earlier run there.  Returns the path of that directory."""
+    base = os.path.join(root, matrix_slug(report.matrix), report.class_name)
+    os.makedirs(base, exist_ok=True)
     by_order: dict[int, list[str]] = {}
     for g6, cert in report.obstructions:
         by_order.setdefault(cert.graph.n, []).append(g6)
-    for stale in base.glob("n[0-9]*.g6"):
-        stale.unlink()
+    for stale in fnmatch.filter(os.listdir(base), "n[0-9]*.g6"):
+        os.remove(os.path.join(base, stale))
     for n, lines in sorted(by_order.items()):
-        (base / f"n{n}.g6").write_text("\n".join(lines) + "\n")
+        with open(os.path.join(base, f"n{n}.g6"), "w") as f:
+            f.write("\n".join(lines) + "\n")
     if STAR in report.matrix.star_blocks:
         bounds = None
     else:
@@ -480,5 +475,6 @@ def save_catalog(report: EnumerationReport, root) -> Path:
             if all(STAR not in r for r in report.matrix.rows) else None,
         }
     manifest = {**_summary(report), "bounds": bounds, "version": __version__}
-    (base / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open(os.path.join(base, "manifest.json"), "w") as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return base

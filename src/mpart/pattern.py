@@ -9,11 +9,10 @@ anticompleteness, '*' imposes nothing.  Entries are kept as the characters
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import MPartError
-from .graph import MAX_VERTICES
+from .graph import MAX_VERTICES, Frozen
 
 ZERO = "0"
 ONE = "1"
@@ -22,19 +21,21 @@ STAR = "*"
 _VALID = frozenset("01*")
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
+class PatternMatrix(Frozen):
     """Immutable symmetric pattern matrix; rows[i][j] is the (i, j) entry.
 
     The structure the solvers, the enumeration and the bounds read (part
     masks, the interchangeable parts, (k, ell), the parts each part pattern
-    embeds in) is derived once per instance and cached on it.  The
-    constructors below return one live instance per row tuple (`_shared`),
-    so its caches are shared too: callers must not mutate `star_blocks`,
-    the one cache that is a mutable dict.
+    embeds in) is derived once per instance and cached in its __dict__.
+    The constructors below return one live instance per row tuple
+    (`_shared`), so its caches are shared too: callers must not mutate
+    `star_blocks`, the one cache that is a mutable dict.
     """
 
-    rows: tuple[str, ...]
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple[str, ...]):
+        object.__setattr__(self, "rows", rows)
 
     @property
     def m(self) -> int:

@@ -57,18 +57,26 @@ is unchanged, and the twin skip's argument above holds as it stands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalError, MPartError
-from .graph import Graph
+from .graph import Frozen, Graph
 from .pattern import ONE, STAR, PatternMatrix
 
 
-@dataclass(frozen=True, slots=True)
-class PartAssignment:
+class PartAssignment(Frozen):
     """Total map vertex -> part index."""
 
-    parts: tuple[int, ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not PartAssignment:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
 
 def validate(G: Graph, M: PatternMatrix, parts) -> bool:

@@ -4,7 +4,8 @@
 Every non-isomorphic graph, or split graph, on n vertices is built by
 canonical augmentation (McKay, Isomorph-free exhaustive generation, J.
 Algorithms 26, 1998) from those on n - 1, with its deck, packed orders
-and the index of its complement's class; `section` lays one order out as
+and the index of its complement's class, and the recognizers give its class
+byte (`classes`); `section` lays one order out as
 `mpart.graph` reads it, and `table` writes every order up to the class
 limits, each section compressed by zlib.  The canonical labeling that
 sorts and deduplicates the graphs is the only one in the repository apart
@@ -27,7 +28,7 @@ from functools import cache
 from pathlib import Path
 
 from mpart import graph as gr
-from mpart.recognize import split_partition
+from mpart.recognize import is_bipartite, is_chordal, split_partition
 
 TABLE = Path(gr._TABLE)
 
@@ -282,6 +283,14 @@ def generate(n, split):
             tuple(index[canonical_form(gr.complement(G))] for G in graphs))
 
 
+def classes(n, split):
+    """The class byte of each graph of `generate(n, split)`, as
+    `gr.generation` documents it: bit 0 from `is_bipartite`, bit 1 from
+    `is_chordal`."""
+    return bytes((is_bipartite(G) is not None) | (is_chordal(G) is not None) << 1
+                 for G in generate(n, split)[0])
+
+
 def section(n, split):
     """The uncompressed payload of the table's section for n vertices, in
     the layout `gr._section` documents."""
@@ -290,7 +299,7 @@ def section(n, split):
                   + [p for d in decks for p in d])
     if sys.byteorder == "big":
         words.byteswap()
-    return bytes(map(len, decks)) + words.tobytes() + b"".join(orders)
+    return bytes(map(len, decks)) + classes(n, split) + words.tobytes() + b"".join(orders)
 
 
 def decoded(n, split):

@@ -1,5 +1,5 @@
 """The committed table and the generator in `augmentation.py` that wrote it,
-complements column included.
+complements and class columns included.
 
 The generator's canonical labeling, the repository's only canonical search
 apart from the reference in `full_refine.py`, and its automorphism
@@ -24,6 +24,8 @@ class TestTable:
                 # graph by graph, deck by deck, order by order, and every
                 # complement, each built through the section's accessors
                 assert aug.decoded(n, split) == want
+                # the class bytes, rebuilt by the recognizers
+                assert gr.generation(n, split).classes == aug.classes(n, split)
 
     def test_the_header_covers_the_file(self):
         data = aug.TABLE.read_bytes()

@@ -2,13 +2,16 @@ import contextlib
 import functools
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
 import time
+import zlib
 
 import pytest
 
+import mpart
 from mpart import graph as gr
 from mpart import obstruction as ob
 from mpart import pattern as pat
@@ -348,12 +351,26 @@ def count_of_order_5_one_short(table):
     return table
 
 
+def order_5_one_class_byte_short(table):
+    # the fifth section, order 5, recompressed without its last class byte,
+    # and the header's end offsets from there on moved to match
+    ends = struct.unpack_from(f"<{gr._SECTIONS}I", table)
+    start, end = ends[3], ends[4]
+    payload = bytearray(zlib.decompress(table[start:end]))
+    del payload[2 * struct.unpack_from("<I", table, 4 * (gr._SECTIONS + 4))[0] - 1]
+    body = zlib.compress(bytes(payload))
+    shift = len(body) - (end - start)
+    struct.pack_into(f"<{gr._SECTIONS - 4}I", table, 16, *(e + shift for e in ends[4:]))
+    return table[:start] + body + table[end:]
+
+
 class TestFault:
     """A fault inside mpart exits 4, with one line on stderr and no stdout."""
 
     @pytest.mark.parametrize("damage", [
         flip_byte_5000, lambda table: table[:100], count_of_order_5_one_short, None,
-    ], ids=["flipped-byte", "truncated", "count-one-short", "missing"])
+        order_5_one_class_byte_short,
+    ], ids=["flipped-byte", "truncated", "count-one-short", "missing", "section-one-byte-short"])
     def test_a_damaged_table_exits_4(self, damage, tmp_path, monkeypatch, capsys):
         table = tmp_path / "generation.bin"
         if damage is not None:
@@ -402,11 +419,17 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_cold_imports_stay_lazy():
-    # a fresh interpreter each: the CLI loads verify only in `mpart verify`,
-    # and the package root loads no recognizer, enumeration or CLI
-    for module, absent in (("mpart.cli", ["mpart.verify"]),
-                           ("mpart", ["mpart.recognize", "mpart.obstruction", "mpart.cli"])):
+    # a fresh interpreter each, with no site module, whose .pth files may
+    # load pathlib themselves: the CLI loads verify only in `mpart verify`
+    # and no dataclasses, inspect or pathlib; enumeration reads class
+    # membership from the table and loads no recognizer; and the package
+    # root loads no recognizer, enumeration or CLI
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mpart.__file__))}
+    for module, absent in (
+            ("mpart.cli", ["mpart.verify", "dataclasses", "inspect", "pathlib"]),
+            ("mpart.obstruction", ["mpart.recognize"]),
+            ("mpart", ["mpart.recognize", "mpart.obstruction", "mpart.cli"])):
         code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, check=True, env=env)
         assert proc.stdout.strip() == "[]", module

@@ -1,5 +1,6 @@
 import pickle
 import random
+import weakref
 from itertools import combinations, permutations
 
 import pytest
@@ -337,15 +338,20 @@ class TestDecks:
                     k = order.index(n - 1)
                     assert nb == sum(1 << order[u] for u in range(n) if G.has_edge(k, u))
 
-    @pytest.mark.parametrize("test", [rec.is_bipartite, rec.is_chordal])
-    def test_hereditary_classes_keep_their_decks(self, test):
-        # obstruction._candidates relies on this: it runs a class's member
-        # test only on the graphs whose whole deck is members
-        member = [[test(G) is not None for G in gr.enumerate_graphs(n)] for n in range(9)]
-        for n in range(1, 9):
-            for i, deck in enumerate(graph_decks(n)):
-                if member[n][i]:
-                    assert all(member[n - 1][j] for j in deck)
+    @pytest.mark.parametrize("test, bit", [(rec.is_bipartite, 1), (rec.is_chordal, 2)],
+                             ids=["is_bipartite", "is_chordal"])
+    def test_hereditary_classes_keep_their_decks(self, test, bit):
+        # obstruction._candidates relies on this: it takes a class's members
+        # from the committed class bytes and checks no deck, so every
+        # member's deck must hold only members, by the recognizers and by
+        # the committed bits alike
+        recognized = [[test(G) is not None for G in gr.enumerate_graphs(n)] for n in range(9)]
+        committed = [[bool(c & bit) for c in gr.generation(n, False).classes] for n in range(9)]
+        for member in (recognized, committed):
+            for n in range(1, 9):
+                for i, deck in enumerate(graph_decks(n)):
+                    if member[n][i]:
+                        assert all(member[n - 1][j] for j in deck)
 
     def test_immutable(self):
         # every caller shares the cached section: none of its buffers can be
@@ -385,6 +391,20 @@ class TestPickle:
         H = pickle.loads(pickle.dumps(G))
         assert H == G and hash(H) == hash(G)
         assert not hasattr(G, "__dict__")
+
+    def test_a_graph_is_a_frozen_value(self):
+        # equal by its fields and only to a Graph, hashed and shown by them,
+        # with no weak reference, and no field can be assigned or deleted
+        G = gr.cycle(4)
+        assert G == gr.Graph(4, (10, 5, 10, 5)) and G != gr.Graph(4, (0,) * 4)
+        assert G != (4, G.adj) and hash(G) == hash((4, G.adj))
+        assert repr(G) == "Graph(n=4, adj=(10, 5, 10, 5))"
+        with pytest.raises(AttributeError):
+            G.n = 5
+        with pytest.raises(AttributeError):
+            del G.adj
+        with pytest.raises(TypeError):
+            weakref.ref(G)
 
 
 class TestEdgeListFormat:

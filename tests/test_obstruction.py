@@ -2,6 +2,7 @@ import json
 import pickle
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -146,7 +147,7 @@ def drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch):
     lens = bytearray(gen.lens)
     lens[i] -= 1
     patched = gr.Generation(4, gen.rows, bytes(lens), gen.starts, gen.entries, gen.orders,
-                            gen.complements)
+                            gen.complements, gen.classes)
     members, children = ob._candidates("all", 4)
     generation, candidates = ob.generation, ob._candidates
     monkeypatch.setattr(ob, "generation", lambda n, split: (
@@ -405,9 +406,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("class_name", ["bipartite", "chordal"])
     def test_members_are_the_recognizers_at_the_full_range(self, class_name):
-        # the member test sees only the graphs whose whole deck is members;
-        # by heredity the members are still every graph the recognizer
-        # admits, at every order up to the class limit.  From the first
+        # the members are the graphs whose class byte has the class's bit,
+        # and they are every graph the recognizer admits, at every order up
+        # to the class limit.  From the first
         # minimal non-member's order on (K3's in bipartite, C4's in chordal)
         # some graph is not a member, so a member's index in the generation
         # and its position among the members differ
@@ -420,35 +421,25 @@ class TestEnumeration:
             assert list(members) == want, n
             assert (set(members) < set(range(len(graphs)))) == (n >= first), n
 
-    @pytest.mark.parametrize("class_name, calls", [("bipartite", 455), ("chordal", 2655)])
-    def test_member_test_sees_members_and_minimal_non_members(self, class_name, calls,
-                                                              monkeypatch):
-        # of the 13,598 graphs with n <= 8, the member test sees the members
-        # and the graphs whose deletions are all members but which are not:
-        # the class's minimal non-members, at order n the n-cycle, a hole
+    @pytest.mark.parametrize("class_name, whole", [("bipartite", 455), ("chordal", 2655)])
+    def test_a_whole_deck_of_members_is_a_member_or_a_cycle(self, class_name, whole):
+        # of the 13,598 graphs with n <= 8, the committed class bytes have
+        # this many whose deletions are all members: the members, and the
+        # class's minimal non-members, at order n the n-cycle, a hole
         # (n >= 4) in chordal (Dirac) and an odd cycle in bipartite (König)
-        patterns, split, test, dual = ob._CLASSES[class_name]
-        limit = ob.CLASS_LIMITS[class_name]
-        tested = {}
-
-        def counting(G):
-            got = test(G)
-            tested.setdefault(G.n, []).append((G, got is not None))
-            return got
-
-        monkeypatch.setitem(ob._CLASSES, class_name, (patterns, split, counting, dual))
-        ob._candidates.cache_clear()
-        try:
-            for n in range(1, limit + 1):
-                ob._candidates(class_name, n)
-        finally:
-            ob._candidates.cache_clear()
-        assert sorted(tested) == list(range(1, limit + 1))
-        assert sum(map(len, tested.values())) == calls
-        for n, seen in tested.items():
-            rejected = [aug.canonical_form(G) for G, member in seen if not member]
+        bit = ob._CLASSES[class_name][2]
+        reached = 0
+        for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
+            gen, below = gr.generation(n, False), gr.generation(n - 1, False)
+            rejected = []
+            for i, deck in enumerate(aug.decoded(n, False)[1]):
+                if all(below.classes[p] & bit for p in deck):
+                    reached += 1
+                    if not gen.classes[i] & bit:
+                        rejected.append(aug.canonical_form(gen.graph(i)))
             hole = n >= 4 if class_name == "chordal" else n >= 3 and n % 2 == 1
             assert rejected == ([aug.canonical_form(gr.cycle(n))] if hole else []), n
+        assert reached == whole
 
     def test_reports_of_one_pair_share_witnesses(self):
         # a second report of the same pair, made while the first is held,
@@ -491,8 +482,8 @@ class TestEnumeration:
 
 class TestColdBuilds:
     """A cold run builds a Graph only where one is read: none to decode the
-    table or to take the candidates of a class with no member test, and in
-    the walk one per candidate it classifies."""
+    table or to take the candidates of any class, and in the walk one per
+    candidate it classifies."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -521,12 +512,14 @@ class TestColdBuilds:
         ob._candidates.cache_clear()
         return built, classified
 
-    def test_decoding_and_unfiltered_candidates_build_no_graph(self, counted):
+    def test_decoding_and_candidates_build_no_graph(self, counted):
+        # every class with candidates of its own, the members of bipartite
+        # and chordal read from the class bytes
         built, _ = counted
         for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT)):
             for n in range(top + 1):
                 gr.generation(n, split)
-        for class_name in ("all", "split"):
+        for class_name in ("all", "split", "bipartite", "chordal"):
             for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
                 ob._candidates(class_name, n)
         assert built == []
@@ -714,7 +707,7 @@ class TestReports:
 
     def test_save_catalog(self, tmp_path):
         report = ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 5)
-        base = ob.save_catalog(report, tmp_path)
+        base = Path(ob.save_catalog(report, tmp_path))
         assert (base / "n3.g6").read_text().strip() == "Bw"
         manifest = json.loads((base / "manifest.json").read_text())
         assert manifest["matrix"] == "0*;*0"
@@ -725,10 +718,10 @@ class TestReports:
         # a smaller run into the same directory leaves no file of an order
         # its manifest does not count, and keeps files that are not orders
         M = pat.make_kl_matrix(2, 0)
-        first = ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 7), tmp_path)
+        first = Path(ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 7), tmp_path))
         assert (first / "n7.g6").is_file()
         (first / "notes.txt").write_text("kept")
-        base = ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 5), tmp_path)
+        base = Path(ob.save_catalog(ob.enumerate_minimal_obstructions(M, "all", 5), tmp_path))
         manifest = json.loads((base / "manifest.json").read_text())
         assert manifest["counts"] == {"3": 1, "5": 1}
         assert sorted(p.name for p in base.iterdir()) == \
