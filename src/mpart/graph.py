@@ -17,6 +17,7 @@ import zlib
 from array import array
 from functools import cache
 from itertools import accumulate
+from operator import attrgetter
 
 from .errors import InternalError, MPartError
 
@@ -29,32 +30,33 @@ class Frozen:
     """The base of the package's immutable values, as a frozen dataclass
     makes them: a subclass names its fields in _fields, and is equal only
     to an instance of its own class with equal fields, and hashed, shown
-    and pickled by them.  Assigning or deleting an attribute raises
-    AttributeError, so an __init__ sets its fields through
-    object.__setattr__ or the slots' own setters.  A class compared and
-    hashed on the walk's hot path (Graph, PartAssignment) states __eq__
-    and __hash__ over its own fields, as fast as a dataclass's."""
+    and pickled by them.  Equality and hashing read the fields through
+    _key, which each subclass derives from _fields when it is created.
+    Assigning or deleting an attribute raises AttributeError, so an
+    __init__ sets its fields through object.__setattr__ or the slots' own
+    setters."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key(self) == self._key(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -64,21 +66,15 @@ class Frozen:
 
 
 class Graph(Frozen):
-    """Immutable graph; adj[v] is the neighbor bitmask of vertex v."""
+    """Immutable graph; adj[v] is the neighbor bitmask of vertex v, and the
+    order n is the number of rows."""
 
-    __slots__ = _fields = ("n", "adj")
+    __slots__ = ("n", "adj")
+    _fields = ("adj",)
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
-        _set_n(self, n)
+    def __init__(self, adj: tuple[int, ...]):
         _set_adj(self, adj)
-
-    def __eq__(self, other):
-        if other.__class__ is not Graph:
-            return NotImplemented
-        return (self.n, self.adj) == (other.n, other.adj)
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
+        _set_n(self, len(adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -106,7 +102,7 @@ def from_edges(n: int, edges) -> Graph:
             raise MPartError(f"edge ({u},{v}) outside 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +157,7 @@ def parse_graph6(s: str) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             idx += 1
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +166,7 @@ def parse_graph6(s: str) -> Graph:
 
 def complement(G: Graph) -> Graph:
     full = (1 << G.n) - 1
-    return Graph(G.n, tuple((full ^ G.adj[v]) & ~(1 << v) & full for v in range(G.n)))
+    return Graph(tuple((full ^ G.adj[v]) & ~(1 << v) & full for v in range(G.n)))
 
 
 def delete_vertex(G: Graph, v: int) -> Graph:
@@ -178,13 +174,13 @@ def delete_vertex(G: Graph, v: int) -> Graph:
     if not (0 <= v < G.n):
         raise MPartError(f"vertex {v} outside 0..{G.n - 1}")
     low = (1 << v) - 1
-    return Graph(G.n - 1, tuple(r & low | r >> 1 & ~low for r in G.adj[:v] + G.adj[v + 1:]))
+    return Graph(tuple(r & low | r >> 1 & ~low for r in G.adj[:v] + G.adj[v + 1:]))
 
 
 def empty(n: int) -> Graph:
     if n < 0 or n > MAX_VERTICES:
         raise MPartError(f"bad order {n}")
-    return Graph(n, (0,) * n)
+    return Graph((0,) * n)
 
 
 def complete(n: int) -> Graph:
@@ -205,7 +201,7 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
     if G.n + H.n > MAX_VERTICES:
         raise MPartError("union exceeds the vertex cap")
     adj = list(G.adj) + [row << G.n for row in H.adj]
-    return Graph(G.n + H.n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +247,7 @@ def _section(n: int, split: bool) -> tuple[bytes, int]:
 class Generation:
     """One order of the generation table, decoded into flat buffers that
     nothing writes (`generation`); graph(i) builds the i-th graph when one
-    is read, and graphs() each in turn."""
+    is read."""
 
     __slots__ = ("n", "rows", "lens", "starts", "entries", "orders", "complements", "classes")
 
@@ -264,11 +260,7 @@ class Generation:
         return len(self.lens)
 
     def graph(self, i: int) -> Graph:
-        return Graph(self.n, tuple(self.rows[i * self.n:(i + 1) * self.n]))
-
-    def graphs(self):
-        """Every graph, in order, each built as the iteration reaches it."""
-        return map(self.graph, range(len(self)))
+        return Graph(tuple(self.rows[i * self.n:(i + 1) * self.n]))
 
 
 @cache
@@ -285,8 +277,7 @@ def generation(n: int, split: bool) -> Generation:
     of the decks in entries.
     So deck i is entries[starts[i]:starts[i] + lens[i]], and the block of
     its entry j is orders[j * (n + 1):(j + 1) * (n + 1)].
-    Generation.graph(i) builds the i-th graph, and Generation.graphs()
-    every graph as it is iterated.
+    Generation.graph(i) builds the i-th graph.
 
     Deck i holds the sorted, distinct indices into the graphs on n - 1
     vertices of the isomorphism classes of G - v over the vertices v of the
@@ -334,13 +325,15 @@ def generation(n: int, split: bool) -> Generation:
 def enumerate_graphs(n: int):
     """All non-isomorphic graphs on n vertices, in the table's order: a list
     of `generation(n, False)`'s graphs."""
-    return list(generation(n, False).graphs())
+    gen = generation(n, False)
+    return list(map(gen.graph, range(len(gen))))
 
 
 def enumerate_split_graphs(n: int):
     """All non-isomorphic split graphs on n vertices, in the table's order: a
     list of `generation(n, True)`'s graphs."""
-    return list(generation(n, True).graphs())
+    gen = generation(n, True)
+    return list(map(gen.graph, range(len(gen))))
 
 
 # ---------------------------------------------------------------------------

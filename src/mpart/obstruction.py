@@ -35,9 +35,10 @@ from .solver import PartAssignment, solve
 class MinimalityCertificate(Frozen):
     """A minimal obstruction and a witness for each of its deletions:
     witnesses[v] partitions graph - v.  Equal certificates are shared
-    through a weak table (_CERTIFICATES), so a certificate has a __dict__
-    and can be weakly referenced."""
+    through a weak table (_CERTIFICATES), so a certificate can be weakly
+    referenced."""
 
+    __slots__ = ("graph", "witnesses", "__weakref__")
     _fields = ("graph", "witnesses")
 
     def __init__(self, graph: Graph, witnesses: tuple[PartAssignment, ...]):

@@ -70,14 +70,6 @@ class PartAssignment(Frozen):
     def __init__(self, parts: tuple[int, ...]):
         object.__setattr__(self, "parts", parts)
 
-    def __eq__(self, other):
-        if other.__class__ is not PartAssignment:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
-
 
 def validate(G: Graph, M: PatternMatrix, parts) -> bool:
     """Check a per-vertex sequence of part indices against all pair

@@ -26,7 +26,7 @@ def _representatives(graphs) -> set[str]:
     for G in graphs:
         degrees = sorted(map(G.degree, range(G.n)))
         pairs = list(combinations(range(G.n), 2))
-        for H in gr.generation(G.n, False).graphs():
+        for H in gr.enumerate_graphs(G.n):
             if sorted(map(H.degree, range(H.n))) == degrees and any(
                     all(G.has_edge(p[u], p[v]) == H.has_edge(u, v) for u, v in pairs)
                     for p in permutations(range(G.n))):
@@ -72,7 +72,7 @@ def check_split_characterization():
     # cross-check solvability of every candidate against the counting oracle
     mismatches = 0
     for n in range(1, 7):
-        for G in gr.generation(n, False).graphs():
+        for G in gr.enumerate_graphs(n):
             if (sv.count_partitions(G, M) > 0) != (sv.solve(G, M) is not None):
                 mismatches += 1
     ok = got == want and mismatches == 0
@@ -80,14 +80,21 @@ def check_split_characterization():
 
 
 def check_feder2008_bound():
-    matrices = [pat.make_matrix([a + b, b + c])
-                for a, c in (("0", "1"), ("1", "0")) for b in "01"]
-    worst = 0
+    """Under a matrix with no star, no minimal obstruction has more than
+    feder2008_bound(k, ell) = (k + 1)(ell + 1) vertices: checked on every
+    star-free 2x2 and 3x3 matrix up to the class limit, where 26 of the 72
+    have an obstruction of exactly that order."""
+    limit = ob.CLASS_LIMITS["all"]
+    matrices = [M for M in _diag_star_free_matrices() if not any(pat.STAR in r for r in M.rows)]
+    above = reached = 0
     for M in matrices:
-        report = ob.enumerate_minimal_obstructions(M, "all", 6)
-        for _, cert in report.obstructions:
-            worst = max(worst, cert.graph.n)
-    return worst <= 4, f"{len(matrices)} matrices, largest minimal obstruction order {worst}"
+        bound = ob.feder2008_bound(*M.kl)
+        orders = ob.enumerate_minimal_obstructions(M, "all", limit).counts
+        above += max(orders, default=0) > bound
+        reached += bound in orders
+    return len(matrices) == 72 and above == 0 and reached == 26, (
+        f"{len(matrices)} star-free matrices, n <= {limit}: {above} with an obstruction "
+        f"above the bound, {reached} with one at it")
 
 
 def check_class_patterns():
@@ -248,7 +255,7 @@ def check_prop4_homogeneity():
 
 def check_solver_exactness():
     matrices = _matrices_3x3("01*")
-    graphs = [G for n in range(1, 6) for G in gr.generation(n, False).graphs()]
+    graphs = [G for n in range(1, 6) for G in gr.enumerate_graphs(n)]
     disagreements = 0
     for M in matrices:
         for G in graphs:

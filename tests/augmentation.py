@@ -209,7 +209,7 @@ def graph_from_canonical_form(form):
             if code >> pos & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return gr.Graph(n, tuple(adj))
+    return gr.Graph(tuple(adj))
 
 
 def _mask_images(perm, top):
@@ -246,7 +246,7 @@ def generate(n, split):
     class among the graphs, found by its form.
     """
     if n == 0:
-        return (gr.Graph(0, ()),), ((),), (b"",), (0,)
+        return (gr.Graph(()),), ((),), (b"",), (0,)
     top = 1 << (n - 1)
     # form -> [its packed blocks, then its deck]
     decks: dict[bytes, list] = {}
@@ -267,7 +267,7 @@ def generate(n, split):
                         orbit.append(other)
             adj = [row | top if nb >> v & 1 else row for v, row in enumerate(base)]
             adj.append(nb)
-            child = gr.Graph(n, tuple(adj))
+            child = gr.Graph(tuple(adj))
             if split and split_partition(child) is None:
                 continue
             form, order = canonical_labeling(child)
@@ -308,7 +308,7 @@ def decoded(n, split):
     packed order sliced from the flat buffers, and the complements."""
     gen = gr.generation(n, split)
     spans = [(s, s + k) for s, k in zip(gen.starts, gen.lens)]
-    return (tuple(gen.graphs()),
+    return (tuple(map(gen.graph, range(len(gen)))),
             tuple(tuple(gen.entries[s:e]) for s, e in spans),
             tuple(gen.orders[s * (n + 1):e * (n + 1)] for s, e in spans),
             tuple(gen.complements))

@@ -1,6 +1,4 @@
-import pickle
 import random
-import weakref
 from itertools import combinations, permutations
 
 import pytest
@@ -382,29 +380,6 @@ class TestComplements:
             assert all(complements[c] == i for i, c in enumerate(complements))
             for G, c in zip(graphs, complements):
                 assert aug.canonical_form(gr.complement(G)) == aug.canonical_form(graphs[c])
-
-
-class TestPickle:
-    def test_round_trip(self):
-        # Graph keeps no instance dict, and pickles to an equal graph
-        G = gr.cycle(5)
-        H = pickle.loads(pickle.dumps(G))
-        assert H == G and hash(H) == hash(G)
-        assert not hasattr(G, "__dict__")
-
-    def test_a_graph_is_a_frozen_value(self):
-        # equal by its fields and only to a Graph, hashed and shown by them,
-        # with no weak reference, and no field can be assigned or deleted
-        G = gr.cycle(4)
-        assert G == gr.Graph(4, (10, 5, 10, 5)) and G != gr.Graph(4, (0,) * 4)
-        assert G != (4, G.adj) and hash(G) == hash((4, G.adj))
-        assert repr(G) == "Graph(n=4, adj=(10, 5, 10, 5))"
-        with pytest.raises(AttributeError):
-            G.n = 5
-        with pytest.raises(AttributeError):
-            del G.adj
-        with pytest.raises(TypeError):
-            weakref.ref(G)
 
 
 class TestEdgeListFormat:

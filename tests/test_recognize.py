@@ -69,7 +69,7 @@ class TestSplitPartition:
                     if emask >> i & 1:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-                sides = rec.split_partition(gr.Graph(n, tuple(adj)))
+                sides = rec.split_partition(gr.Graph(tuple(adj)))
                 if want is None:
                     assert sides is None
                 else:

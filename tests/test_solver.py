@@ -1,4 +1,3 @@
-import pickle
 import random
 from itertools import product
 
@@ -45,15 +44,6 @@ class TestValidate:
     def test_part_out_of_range(self):
         with pytest.raises(errors.MPartError, match="part index 1 outside 0..0"):
             sv.validate(gr.complete(2), pat.parse_matrix("0"), [0, 1])
-
-
-class TestPartAssignment:
-    def test_pickle_round_trip(self):
-        # a witness is a frozen, slotted value that survives a trip between processes
-        w = sv.PartAssignment((0, 1, 1, 0))
-        assert pickle.loads(pickle.dumps(w)) == w
-        assert pickle.loads(pickle.dumps((w, w)))[1].parts == (0, 1, 1, 0)
-        assert not hasattr(w, "__dict__")
 
 
 class TestSolve:
