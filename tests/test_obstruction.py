@@ -679,6 +679,21 @@ class TestBounds:
         with pytest.raises(errors.MPartError, match="need n >= 1"):
             ob.theorem5_size(0)
 
+    def test_star_free_bound_at_the_class_limit(self):
+        # under a matrix with no star, no minimal obstruction has more than
+        # feder2008_bound(k, ell) = (k + 1)(ell + 1) vertices; of the 72
+        # star-free 2x2 and 3x3 matrices, 26 have one of exactly that order
+        matrices = [M for M in vf._diag_star_free_matrices()
+                    if not any(pat.STAR in r for r in M.rows)]
+        assert len(matrices) == 72
+        reached = 0
+        for M in matrices:
+            bound = ob.feder2008_bound(*M.kl)
+            orders = ob.enumerate_minimal_obstructions(M, "all", ob.CLASS_LIMITS["all"]).counts
+            assert max(orders, default=0) <= bound, M.to_text()
+            reached += bound in orders
+        assert reached == 26
+
 
 class TestReports:
     def test_json_and_tsv(self):
