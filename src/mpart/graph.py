@@ -215,28 +215,31 @@ _SECTIONS = MAX_ENUM_ALL + MAX_ENUM_SPLIT
 
 
 def _section(n: int, split: bool) -> tuple[bytes, int]:
-    """(payload, count): the uncompressed section of the N = count graphs on
-    n >= 1 vertices, or split graphs when split.
+    """(payload, count): the section of the N = count graphs on n >= 1
+    vertices, or split graphs when split, as the table stores it.
 
     The table starts with a header of little-endian 32-bit words: the end
-    offset of each section, then its number of graphs.  Every section's
-    payload, split or not, holds N bytes, the length of each deck, then N
-    bytes, the class byte of each graph (bit 0 set when it is bipartite,
-    bit 1 when it is chordal), then little-endian 16-bit words: the N * n
-    rows of adjacency, graph by graph, the N indices of the graphs'
-    complements, and every deck's entries, deck by deck; then the packed
-    orders, graph by graph.  A table that cannot be read, or a section
-    whose length does not fit its count, raises InternalError."""
+    offset of each section, then its number of graphs, then the CRC-32 of
+    its payload.  Every section's payload, split or not, holds N bytes, the
+    length of each deck, then N bytes, the class byte of each graph (bit 0
+    set when it is bipartite, bit 1 when it is chordal), then little-endian
+    16-bit words: the N * n rows of adjacency, graph by graph, the N
+    indices of the graphs' complements, and every deck's entries, deck by
+    deck; then the packed orders, graph by graph.  A table that cannot be
+    read, a section whose CRC-32 differs from its header's, or one whose
+    length does not fit its count, raises InternalError."""
     k = (MAX_ENUM_ALL if split else 0) + n - 1
     where = f"the {'split ' if split else ''}graphs of order {n} in {_TABLE}"
     try:
         with open(_TABLE, "rb") as f:
-            head = struct.unpack(f"<{2 * _SECTIONS}I", f.read(8 * _SECTIONS))
-            start = head[k - 1] if k else 8 * _SECTIONS
+            head = struct.unpack(f"<{3 * _SECTIONS}I", f.read(12 * _SECTIONS))
+            start = head[k - 1] if k else 12 * _SECTIONS
             f.seek(start)
-            payload = zlib.decompress(f.read(head[k] - start))
-    except (OSError, struct.error, zlib.error) as exc:
+            payload = f.read(head[k] - start)
+    except (OSError, struct.error) as exc:
         raise InternalError(f"cannot read {where}: {exc}") from exc
+    if zlib.crc32(payload) != head[2 * _SECTIONS + k]:
+        raise InternalError(f"{where}: the section's CRC-32 does not match the header's")
     count = head[_SECTIONS + k]
     entries = sum(payload[:count])
     if len(payload) != 2 * count + 2 * (count * (n + 1) + entries) + entries * (n + 1):
@@ -268,13 +271,14 @@ def generation(n: int, split: bool) -> Generation:
     """The N graphs on n vertices: every non-isomorphic graph, or every
     split graph when split, sorted by the canonical form of the generator
     that built the table, each graph the relabeling of its class that this
-    form gives.  Nothing is built per graph.  The section is decoded into
+    form gives.  Nothing is built per graph.  The section is read into
     rows, the N * n adjacency rows graph by graph, entries, the decks'
-    indices deck by deck, and complements, read-only views of one buffer
-    of 16-bit words; lens, the N deck lengths, classes, the N class bytes,
-    and orders, the packed orders graph by graph, all bytes, as the table
-    holds them; and starts, a read-only view of the N + 1 running offsets
-    of the decks in entries.
+    indices deck by deck, and complements, read-only views of the
+    section's 16-bit words in the bytes read (a big-endian host views one
+    byte-swapped copy); lens, the N deck lengths, classes, the N class
+    bytes, and orders, the packed orders graph by graph, all bytes, as the
+    table holds them; and starts, a read-only view of the N + 1 running
+    offsets of the decks in entries.
     So deck i is entries[starts[i]:starts[i] + lens[i]], and the block of
     its entry j is orders[j * (n + 1):(j + 1) * (n + 1)].
     Generation.graph(i) builds the i-th graph.
@@ -311,15 +315,18 @@ def generation(n: int, split: bool) -> Generation:
     # and is its own complement
     payload, count = _section(n, split) if n else (b"\0\3\0\0", 1)
     lens, classes = payload[:count], payload[count:2 * count]
-    words = array("H", payload[2 * count:2 * count + 2 * (count * (n + 1) + sum(lens))])
+    end = 2 * count + 2 * (count * (n + 1) + sum(lens))
+    # read-only views, as every caller shares them: the words in place on a
+    # little-endian host, a swapped copy on a big-endian one
     if sys.byteorder == "big":
+        words = array("H", payload[2 * count:end])
         words.byteswap()
-    # read-only views, as every caller shares them
-    words = memoryview(words.tobytes()).cast("H")
-    starts = memoryview(array("I", accumulate(lens, initial=0)).tobytes()).cast("I")
+        words = memoryview(words).toreadonly()
+    else:
+        words = memoryview(payload)[2 * count:end].cast("H")
+    starts = memoryview(array("I", accumulate(lens, initial=0))).toreadonly()
     return Generation(n, words[:count * n], lens, starts, words[count * (n + 1):],
-                      payload[2 * count + 2 * len(words):], words[count * n:count * (n + 1)],
-                      classes)
+                      payload[end:], words[count * n:count * (n + 1)], classes)
 
 
 def enumerate_graphs(n: int):

@@ -10,7 +10,7 @@ import os
 import weakref
 from collections import Counter
 from functools import cache
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from math import comb
 from sys import intern
 
@@ -124,10 +124,11 @@ def _candidates(class_name: str, n: int):
     graphs whose class byte has the class's bit set (`generation`), or
     every graph when the class has no bit.  children[p], for each index p
     of the generation on n - 1 vertices, is the sorted tuple of the members
-    whose deck holds p: the inverse of the members' decks.  The class is
-    hereditary, so every member's deck holds only members of order n - 1,
-    and the walk needs no other children.  A class that runs another's walk
-    (cobipartite) has no candidates and is refused.  No graph is built."""
+    whose deck ends with p, its largest entry, so each member is listed
+    exactly once.  The class is hereditary, so every member's deck holds
+    only members of order n - 1, and the walk needs no other children.  A
+    class that runs another's walk (cobipartite) has no candidates and is
+    refused.  No graph is built."""
     _, split, bit, dual = _CLASSES[class_name]
     if dual is not None:
         raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
@@ -137,8 +138,7 @@ def _candidates(class_name: str, n: int):
     members = tuple(members if bit is None else compress(members, map(bit.__and__, gen.classes)))
     children = [[] for _ in range(len(generation(n - 1, split)))]
     for i in members:
-        for p in entries[starts[i]:starts[i] + lens[i]]:
-            children[p].append(i)
+        children[entries[starts[i] + lens[i] - 1]].append(i)
     return members, tuple(map(tuple, children))
 
 
@@ -236,14 +236,14 @@ def enumerate_minimal_obstructions(
     cobipartite.
 
     Otherwise the walk goes up one order at a time, from the partitionable
-    candidates of order n - 1 to their children (`_candidates`'s inverse of
-    the decks).  A candidate is reached once per partitionable graph in its
-    deck, and a deck holds distinct indices, so it is open, every deletion
-    partitioning, exactly when it is reached as often as its deck is long.
-    Any other candidate, reached less often or never (a deck on n >= 1
-    vertices is not empty), has a deletion that is a member of order n - 1
-    and did not partition.  Partitionability is hereditary, so that
-    candidate is obstructed and not minimal, and it is not visited.
+    candidates of order n - 1 to their children (`_candidates` lists each
+    member once, under the last entry of its deck).  A child is open, every
+    deletion partitioning, when the rest of its deck is partitionable too.
+    Any other candidate, under an obstructed parent or with one elsewhere
+    in its deck (a deck on n >= 1 vertices is not empty), has a deletion
+    that is a member of order n - 1 and did not partition.
+    Partitionability is hereditary, so that candidate is obstructed and not
+    minimal, and it is not visited.
 
     An open candidate first tries to extend a deck parent's parts by one
     vertex (`_extend`).  Only when none extends is its graph built and
@@ -261,7 +261,8 @@ def enumerate_minimal_obstructions(
     then by the generation's index of the emitted graph's class.  Equal
     certificates, and so their witnesses, are one object while anything
     holds them, across reports too (`_CERTIFICATES`), and graph6 strings
-    are interned.  jobs is accepted for compatibility and ignored.
+    are interned; a certificate is built only when no equal one is held.
+    jobs is accepted for compatibility and ignored.
 
     cobipartite runs bipartite's walk under complement_matrix(M): a graph's
     complement has an M-partition exactly when the graph has a
@@ -290,14 +291,17 @@ def enumerate_minimal_obstructions(
     partitioned = {0: (0, b"")}
     for n in range(1, n_max + 1):
         gen = generation(n, split)
-        lens = gen.lens
+        lens, starts, entries = gen.lens, gen.starts, gen.entries
         _, children = _candidates(walk, n)
         top = n == n_max
-        # index -> the number of partitionable graphs in its deck; the open
-        # candidates have them all, the others an obstructed deletion
-        reached = Counter(chain.from_iterable(map(children.__getitem__, partitioned)))
+        # the open candidates: those under a partitionable last deck entry
+        # whose other entries partition too; the others have an obstructed
+        # deletion
+        contains = partitioned.__contains__
+        opened = [i for p in partitioned for i in children[p]
+                  if all(map(contains, entries[starts[i]:starts[i] + lens[i] - 1]))]
         parts_now: dict[int, tuple[int, bytes]] = {}
-        for i in [i for i, k in reached.items() if k == lens[i]]:
+        for i in opened:
             parts = _extend(gen, i, partitioned, spread, forbid, top)
             if parts is None:
                 G = gen.graph(i)
@@ -315,10 +319,13 @@ def enumerate_minimal_obstructions(
                 parts_now[i] = (code, parts)
         partitioned = parts_now
     found.sort(key=lambda f: f[0])
-    obstructions = tuple(
-        (intern(to_graph6(G)), _CERTIFICATES.setdefault((G, ws), MinimalityCertificate(G, ws)))
-        for _, G, ws in found)
-    return EnumerationReport(M, class_name, n_max, obstructions)
+    obstructions = []
+    for _, G, ws in found:
+        cert = _CERTIFICATES.get((G, ws))
+        if cert is None:
+            cert = _CERTIFICATES[G, ws] = MinimalityCertificate(G, ws)
+        obstructions.append((intern(to_graph6(G)), cert))
+    return EnumerationReport(M, class_name, n_max, tuple(obstructions))
 
 
 # ---------------------------------------------------------------------------

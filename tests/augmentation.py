@@ -5,9 +5,9 @@ Every non-isomorphic graph, or split graph, on n vertices is built by
 canonical augmentation (McKay, Isomorph-free exhaustive generation, J.
 Algorithms 26, 1998) from those on n - 1, with its deck, packed orders
 and the index of its complement's class, and the recognizers give its class
-byte (`classes`); `section` lays one order out as
-`mpart.graph` reads it, and `table` writes every order up to the class
-limits, each section compressed by zlib.  The canonical labeling that
+byte (`classes`); `section` lays one order out as `mpart.graph` reads it,
+and `table` writes every order up to the class limits, each section stored
+as it is read, with its CRC-32 in the header.  The canonical labeling that
 sorts and deduplicates the graphs is the only one in the repository apart
 from the reference in `full_refine.py`: the package reads its results from
 the table.
@@ -16,8 +16,8 @@ Rewrite the table from the repository root with
 
     PYTHONPATH=src python tests/augmentation.py
 
-`tests/test_augmentation.py` rebuilds it and compares every section's
-payload with the committed file's.
+`tests/test_augmentation.py` rebuilds it and compares it with the committed
+file byte for byte.
 """
 
 import struct
@@ -25,6 +25,7 @@ import sys
 import zlib
 from array import array
 from functools import cache
+from itertools import accumulate
 from pathlib import Path
 
 from mpart import graph as gr
@@ -283,6 +284,7 @@ def generate(n, split):
             tuple(index[canonical_form(gr.complement(G))] for G in graphs))
 
 
+@cache
 def classes(n, split):
     """The class byte of each graph of `generate(n, split)`, as
     `gr.generation` documents it: bit 0 from `is_bipartite`, bit 1 from
@@ -291,9 +293,10 @@ def classes(n, split):
                  for G in generate(n, split)[0])
 
 
+@cache
 def section(n, split):
-    """The uncompressed payload of the table's section for n vertices, in
-    the layout `gr._section` documents."""
+    """The payload of the table's section for n vertices, in the layout
+    `gr._section` documents."""
     graphs, decks, orders, complements = generate(n, split)
     words = array("H", [row for G in graphs for row in G.adj] + list(complements)
                   + [p for d in decks for p in d])
@@ -315,16 +318,15 @@ def decoded(n, split):
 
 
 def table():
-    """The table file: the header, then every section, compressed."""
+    """The table file: the header of every section's end offset, count of
+    graphs and CRC-32, then every section's payload."""
     keys = [(n, False) for n in range(1, gr.MAX_ENUM_ALL + 1)]
     keys += [(n, True) for n in range(1, gr.MAX_ENUM_SPLIT + 1)]
-    bodies = [zlib.compress(section(n, split), 9) for n, split in keys]
-    ends, end = [], 8 * len(keys)
-    for body in bodies:
-        end += len(body)
-        ends.append(end)
+    bodies = [section(n, split) for n, split in keys]
+    ends = accumulate(map(len, bodies), initial=12 * len(keys))
     counts = [len(generate(n, split)[0]) for n, split in keys]
-    return struct.pack(f"<{2 * len(keys)}I", *ends, *counts) + b"".join(bodies)
+    return struct.pack(f"<{3 * len(keys)}I", *list(ends)[1:], *counts,
+                       *map(zlib.crc32, bodies)) + b"".join(bodies)
 
 
 if __name__ == "__main__":

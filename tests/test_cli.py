@@ -352,26 +352,38 @@ def count_of_order_5_one_short(table):
 
 
 def order_5_one_class_byte_short(table):
-    # the fifth section, order 5, recompressed without its last class byte,
-    # and the header's end offsets from there on moved to match
+    # the fifth section, order 5, without its last class byte, the header's
+    # end offsets from there on moved to match and its CRC-32 recomputed,
+    # so that only its length fails to fit its count
     ends = struct.unpack_from(f"<{gr._SECTIONS}I", table)
     start, end = ends[3], ends[4]
-    payload = bytearray(zlib.decompress(table[start:end]))
-    del payload[2 * struct.unpack_from("<I", table, 4 * (gr._SECTIONS + 4))[0] - 1]
-    body = zlib.compress(bytes(payload))
-    shift = len(body) - (end - start)
-    struct.pack_into(f"<{gr._SECTIONS - 4}I", table, 16, *(e + shift for e in ends[4:]))
-    return table[:start] + body + table[end:]
+    del table[start + 2 * struct.unpack_from("<I", table, 4 * (gr._SECTIONS + 4))[0] - 1]
+    struct.pack_into(f"<{gr._SECTIONS - 4}I", table, 16, *(e - 1 for e in ends[4:]))
+    struct.pack_into("<I", table, 4 * (2 * gr._SECTIONS + 4), zlib.crc32(table[start:end - 1]))
+    return table
+
+
+def order_8_one_packed_order_byte_flipped(table):
+    # a byte in the middle of the packed orders that end the eighth
+    # section, order 8: its length still fits, its CRC-32 does not
+    start, end = struct.unpack_from("<2I", table, 4 * 6)
+    count = struct.unpack_from("<I", table, 4 * (gr._SECTIONS + 7))[0]
+    orders = 9 * sum(table[start:start + count])
+    table[end - orders // 2] ^= 0xFF
+    return table
 
 
 class TestFault:
     """A fault inside mpart exits 4, with one line on stderr and no stdout."""
 
-    @pytest.mark.parametrize("damage", [
-        flip_byte_5000, lambda table: table[:100], count_of_order_5_one_short, None,
-        order_5_one_class_byte_short,
-    ], ids=["flipped-byte", "truncated", "count-one-short", "missing", "section-one-byte-short"])
-    def test_a_damaged_table_exits_4(self, damage, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("damage, why", [
+        (flip_byte_5000, "CRC-32"), (lambda table: table[:100], "cannot read"),
+        (count_of_order_5_one_short, "do not fit"), (None, "cannot read"),
+        (order_5_one_class_byte_short, "do not fit"),
+        (order_8_one_packed_order_byte_flipped, "CRC-32"),
+    ], ids=["flipped-byte", "truncated", "count-one-short", "missing", "section-one-byte-short",
+            "order-8-packed-order-flipped"])
+    def test_a_damaged_table_exits_4(self, damage, why, tmp_path, monkeypatch, capsys):
         table = tmp_path / "generation.bin"
         if damage is not None:
             with open(gr._TABLE, "rb") as f:
@@ -388,7 +400,7 @@ class TestFault:
         out, err = capsys.readouterr()
         assert (rc, out) == (4, "")
         assert len(err.splitlines()) == 1
-        assert err.startswith("internal error: ") and "generation.bin" in err
+        assert err.startswith("internal error: ") and "generation.bin" in err and why in err
 
     def test_a_broken_invariant_of_the_walk_exits_4(self, monkeypatch, tmp_path, capsys):
         drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch)

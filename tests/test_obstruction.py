@@ -1,5 +1,6 @@
 import json
 import pickle
+from functools import cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -136,8 +137,8 @@ def drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch):
     # left there, K2 + K1, partitions, so the walk reaches K3 + K1 as open
     # (the shortened deck carries its own length), no witness extends, and
     # classify_minimality finds the obstructed deletion.  The candidates
-    # are taken before the table is patched, so that no state of
-    # _candidates's cache decides what they are
+    # are built from the patched generation, which lists K3 + K1 under
+    # K2 + K1, through a cache of their own that the patch's undo drops
     gen = gr.generation(4, False)
     k3 = [aug.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
         aug.canonical_form(gr.complete(3)))
@@ -148,14 +149,11 @@ def drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch):
     lens[i] -= 1
     patched = gr.Generation(4, gen.rows, bytes(lens), gen.starts, gen.entries, gen.orders,
                             gen.complements, gen.classes)
-    members, children = ob._candidates("all", 4)
-    generation, candidates = ob.generation, ob._candidates
+    generation = ob.generation
     monkeypatch.setattr(ob, "generation", lambda n, split: (
         patched if (n, split) == (4, False)
         else generation(n, split)))
-    monkeypatch.setattr(ob, "_candidates", lambda class_name, n: (
-        (members, children) if (class_name, n) == ("all", 4)
-        else candidates(class_name, n)))
+    monkeypatch.setattr(ob, "_candidates", cache(ob._candidates.__wrapped__))
 
 
 class TestIsObstruction:
@@ -381,22 +379,24 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
     def test_children_invert_the_decks(self, class_name):
-        # each (parent, member) pair once, the members sorted, one entry
-        # per graph of the generation one order down, all in the
-        # generation's indices; and the decks hold distinct indices, so a
-        # count of partitionable parents equal to a deck's length means its
-        # whole deck partitions.  cobipartite runs the bipartite walk, so it
-        # checks bipartite's candidates
+        # children inverts the map from each member to the last entry of its
+        # deck: every member listed exactly once, under that entry, the
+        # members of each parent sorted, and one tuple per graph of the
+        # generation one order down, all in the generation's indices.  The
+        # decks hold sorted, distinct indices, so the last entry is the
+        # largest, and the walk opens a member under a partitionable parent
+        # when the rest of its deck partitions.  cobipartite runs the
+        # bipartite walk, so it checks bipartite's candidates
         split = class_name == "split"
         walk = "bipartite" if class_name == "cobipartite" else class_name
         for n in range(1, ob.CLASS_LIMITS[class_name] + 1):
             decks = aug.decoded(n, split)[1]
             members, children = ob._candidates(walk, n)
             assert len(children) == len(gr.generation(n - 1, split))
-            assert all(len(set(deck)) == len(deck) for deck in decks)
-            edges = [(p, i) for p, kids in enumerate(children) for i in kids]
-            assert edges == sorted((p, i) for i in members for p in decks[i]), n
-            assert len(set(edges)) == len(edges)
+            assert all(isinstance(kids, tuple) for kids in children)
+            assert all(list(deck) == sorted(set(deck)) and deck for deck in decks)
+            listed = [(p, i) for p, kids in enumerate(children) for i in kids]
+            assert listed == sorted((decks[i][-1], i) for i in members), n
 
     def test_cobipartite_has_no_candidates_of_its_own(self):
         # its walk is the bipartite one, so its candidates are never read,
@@ -453,12 +453,18 @@ class TestEnumeration:
             assert len(c1.witnesses) == len(c2.witnesses)
             assert all(w1 is w2 for w1, w2 in zip(c1.witnesses, c2.witnesses))
 
-    def test_reports_of_one_pair_share_certificates(self):
+    def test_reports_of_one_pair_share_certificates(self, monkeypatch):
         # a second report of the same pair, made while the first is held,
-        # reuses its certificate objects; a certificate pickles to an equal one
+        # reuses its certificate objects and builds none; a certificate
+        # pickles to an equal one
         M = pat.parse_matrix("0**;*0*;**0")
         first = ob.enumerate_minimal_obstructions(M, "all", 7)
+        built = []
+        init = ob.MinimalityCertificate.__init__
+        monkeypatch.setattr(ob.MinimalityCertificate, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
         second = ob.enumerate_minimal_obstructions(M, "all", 7)
+        assert built == []
         assert first.obstructions and len(first.obstructions) == len(second.obstructions)
         assert all(c1 is c2 for (_, c1), (_, c2) in zip(first.obstructions, second.obstructions))
         cert = first.obstructions[-1][1]
