@@ -214,22 +214,21 @@ _TABLE = os.path.join(os.path.dirname(__file__), "generation.bin")
 _SECTIONS = MAX_ENUM_ALL + MAX_ENUM_SPLIT
 
 
+def _where(n: int, split: bool) -> str:
+    return f"the {'split ' if split else ''}graphs of order {n} in {_TABLE}"
+
+
 def _section(n: int, split: bool) -> tuple[bytes, int]:
     """(payload, count): the section of the N = count graphs on n >= 1
-    vertices, or split graphs when split, as the table stores it.
+    vertices, or split graphs when split, as the table stores it, in the
+    layout `generation` reads and checks.
 
     The table starts with a header of little-endian 32-bit words: the end
     offset of each section, then its number of graphs, then the CRC-32 of
-    its payload.  Every section's payload, split or not, holds N bytes, the
-    length of each deck, then N bytes, the class byte of each graph (bit 0
-    set when it is bipartite, bit 1 when it is chordal), then little-endian
-    16-bit words: the N * n rows of adjacency, graph by graph, the N
-    indices of the graphs' complements, and every deck's entries, deck by
-    deck; then the packed orders, graph by graph.  A table that cannot be
-    read, a section whose CRC-32 differs from its header's, or one whose
-    length does not fit its count, raises InternalError."""
+    its payload.  A table that cannot be read, or a section whose CRC-32
+    differs from its header's, raises InternalError."""
     k = (MAX_ENUM_ALL if split else 0) + n - 1
-    where = f"the {'split ' if split else ''}graphs of order {n} in {_TABLE}"
+    where = _where(n, split)
     try:
         with open(_TABLE, "rb") as f:
             head = struct.unpack(f"<{3 * _SECTIONS}I", f.read(12 * _SECTIONS))
@@ -240,27 +239,22 @@ def _section(n: int, split: bool) -> tuple[bytes, int]:
         raise InternalError(f"cannot read {where}: {exc}") from exc
     if zlib.crc32(payload) != head[2 * _SECTIONS + k]:
         raise InternalError(f"{where}: the section's CRC-32 does not match the header's")
-    count = head[_SECTIONS + k]
-    entries = sum(payload[:count])
-    if len(payload) != 2 * count + 2 * (count * (n + 1) + entries) + entries * (n + 1):
-        raise InternalError(f"{where}: {len(payload)} bytes do not fit a count of {count} graphs")
-    return payload, count
+    return payload, head[_SECTIONS + k]
 
 
 class Generation:
     """One order of the generation table, decoded into flat buffers that
     nothing writes (`generation`); graph(i) builds the i-th graph when one
-    is read."""
+    is read, and deck i is entries[starts[i]:starts[i + 1]]."""
 
-    __slots__ = ("n", "rows", "lens", "starts", "entries", "orders", "complements", "classes")
+    __slots__ = ("n", "rows", "starts", "entries", "orders", "complements", "classes")
 
-    def __init__(self, n, rows, lens, starts, entries, orders, complements, classes):
-        self.n, self.rows, self.lens, self.starts = n, rows, lens, starts
-        self.entries, self.orders, self.complements = entries, orders, complements
-        self.classes = classes
+    def __init__(self, n, rows, starts, entries, orders, complements, classes):
+        self.n, self.rows, self.starts, self.entries = n, rows, starts, entries
+        self.orders, self.complements, self.classes = orders, complements, classes
 
     def __len__(self) -> int:
-        return len(self.lens)
+        return len(self.classes)
 
     def graph(self, i: int) -> Graph:
         return Graph(tuple(self.rows[i * self.n:(i + 1) * self.n]))
@@ -271,17 +265,21 @@ def generation(n: int, split: bool) -> Generation:
     """The N graphs on n vertices: every non-isomorphic graph, or every
     split graph when split, sorted by the canonical form of the generator
     that built the table, each graph the relabeling of its class that this
-    form gives.  Nothing is built per graph.  The section is read into
-    rows, the N * n adjacency rows graph by graph, entries, the decks'
-    indices deck by deck, and complements, read-only views of the
-    section's 16-bit words in the bytes read (a big-endian host views one
-    byte-swapped copy); lens, the N deck lengths, classes, the N class
-    bytes, and orders, the packed orders graph by graph, all bytes, as the
-    table holds them; and starts, a read-only view of the N + 1 running
-    offsets of the decks in entries.
-    So deck i is entries[starts[i]:starts[i] + lens[i]], and the block of
-    its entry j is orders[j * (n + 1):(j + 1) * (n + 1)].
-    Generation.graph(i) builds the i-th graph.
+    form gives.  Nothing is built per graph.
+
+    Every section's payload (`_section`), split or not, holds N bytes, the
+    length of each deck, then N bytes, the class byte of each graph, then
+    little-endian 16-bit words: the N * n rows of adjacency, graph by
+    graph, the N indices of the graphs' complements, and every deck's
+    entries, deck by deck; then the packed orders, graph by graph.  The
+    deck lengths are read once, into starts, a read-only view of the N + 1
+    running offsets of the decks, and a section whose length does not fit
+    them raises InternalError.  The rest is read into rows, complements
+    and entries, read-only views of the section's 16-bit words in the
+    bytes read (a big-endian host views one byte-swapped copy), and
+    classes and orders, bytes, as the table holds them.
+    So deck i is entries[starts[i]:starts[i + 1]], and the block of its
+    entry j is orders[j * (n + 1):(j + 1) * (n + 1)].
 
     Deck i holds the sorted, distinct indices into the graphs on n - 1
     vertices of the isomorphism classes of G - v over the vertices v of the
@@ -314,8 +312,11 @@ def generation(n: int, split: bool) -> Generation:
     # the graph on no vertex has an empty deck, is bipartite and chordal,
     # and is its own complement
     payload, count = _section(n, split) if n else (b"\0\3\0\0", 1)
-    lens, classes = payload[:count], payload[count:2 * count]
-    end = 2 * count + 2 * (count * (n + 1) + sum(lens))
+    starts = memoryview(array("I", accumulate(payload[:count], initial=0))).toreadonly()
+    end = 2 * count + 2 * (count * (n + 1) + starts[-1])
+    if len(payload) != end + starts[-1] * (n + 1):
+        raise InternalError(f"{_where(n, split)}: {len(payload)} bytes do not fit "
+                            f"a count of {count} graphs")
     # read-only views, as every caller shares them: the words in place on a
     # little-endian host, a swapped copy on a big-endian one
     if sys.byteorder == "big":
@@ -324,9 +325,8 @@ def generation(n: int, split: bool) -> Generation:
         words = memoryview(words).toreadonly()
     else:
         words = memoryview(payload)[2 * count:end].cast("H")
-    starts = memoryview(array("I", accumulate(lens, initial=0))).toreadonly()
-    return Generation(n, words[:count * n], lens, starts, words[count * (n + 1):],
-                      payload[end:], words[count * n:count * (n + 1)], classes)
+    return Generation(n, words[:count * n], starts, words[count * (n + 1):], payload[end:],
+                      words[count * n:count * (n + 1)], payload[count:2 * count])
 
 
 def enumerate_graphs(n: int):

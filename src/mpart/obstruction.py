@@ -120,25 +120,26 @@ def _candidates(class_name: str, n: int):
     """(members, children) of the class on n >= 1 vertices, both in the
     indices of `generation(n, split)`.
 
-    members is the sorted tuple of the indices of the class's members: the
-    graphs whose class byte has the class's bit set (`generation`), or
-    every graph when the class has no bit.  children[p], for each index p
-    of the generation on n - 1 vertices, is the sorted tuple of the members
-    whose deck ends with p, its largest entry, so each member is listed
-    exactly once.  The class is hereditary, so every member's deck holds
-    only members of order n - 1, and the walk needs no other children.  A
-    class that runs another's walk (cobipartite) has no candidates and is
-    refused.  No graph is built."""
+    members is the sorted tuple of the class's members, read in one
+    translate of the class bytes: the graphs whose class byte has the
+    class's bit set (`generation`), or all when the class has no bit.
+    children[p], for each index p of the generation on n - 1 vertices, is
+    the sorted tuple of the members i whose deck ends with p, its largest
+    entry entries[starts[i + 1] - 1], so each member is listed once.  The
+    class is hereditary, so every member's deck holds only members of order
+    n - 1, and the walk needs no other children.  A class that runs
+    another's walk (cobipartite) has no candidates and is refused.  No graph
+    is built."""
     _, split, bit, dual = _CLASSES[class_name]
     if dual is not None:
         raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
     gen = generation(n, split)
-    lens, starts, entries = gen.lens, gen.starts, gen.entries
-    members = range(len(gen))
-    members = tuple(members if bit is None else compress(members, map(bit.__and__, gen.classes)))
+    starts, entries = gen.starts, gen.entries
+    members = tuple(compress(range(len(gen)), gen.classes.translate(
+        bytes(bit is None or c & bit > 0 for c in range(256)))))
     children = [[] for _ in range(len(generation(n - 1, split)))]
     for i in members:
-        children[entries[starts[i] + lens[i] - 1]].append(i)
+        children[entries[starts[i + 1] - 1]].append(i)
     return members, tuple(map(tuple, children))
 
 
@@ -195,12 +196,11 @@ def _extend(gen, i, partitioned, spread, forbid, top: bool):
     spread[nb] holds the parts of its neighbours and of its non-neighbours,
     and the new vertex takes the lowest part q whose forbid[q]
     (`_forbidden`) holds none of them.  The parent's parts carry over
-    through the order `generation` keeps for it.  The deck and its blocks
-    are read in place, entry j of gen.entries with the block at j * (n + 1)
-    of gen.orders, not built: this runs once per open candidate."""
-    n, entries, orders = gen.n, gen.entries, gen.orders
-    start = gen.starts[i]
-    for j in range(start, start + gen.lens[i]):
+    through the order `generation` keeps for it.  Deck entry j, for j in
+    range(starts[i], starts[i + 1]), and its block at j * (n + 1) of orders
+    are read in place, not built: this runs once per open candidate."""
+    n, entries, orders, starts = gen.n, gen.entries, gen.orders, gen.starts
+    for j in range(starts[i], starts[i + 1]):
         code, parts = partitioned[entries[j]]
         end = j * (n + 1) + n  # the block's nb
         seen = code & spread[orders[end]]
@@ -291,15 +291,15 @@ def enumerate_minimal_obstructions(
     partitioned = {0: (0, b"")}
     for n in range(1, n_max + 1):
         gen = generation(n, split)
-        lens, starts, entries = gen.lens, gen.starts, gen.entries
+        starts, entries = gen.starts, gen.entries
         _, children = _candidates(walk, n)
         top = n == n_max
-        # the open candidates: those under a partitionable last deck entry
-        # whose other entries partition too; the others have an obstructed
-        # deletion
+        # the open candidates: those under a partitionable last deck entry,
+        # entries[starts[i + 1] - 1], whose other entries partition too; the
+        # others have an obstructed deletion
         contains = partitioned.__contains__
         opened = [i for p in partitioned for i in children[p]
-                  if all(map(contains, entries[starts[i]:starts[i] + lens[i] - 1]))]
+                  if all(map(contains, entries[starts[i]:starts[i + 1] - 1]))]
         parts_now: dict[int, tuple[int, bytes]] = {}
         for i in opened:
             parts = _extend(gen, i, partitioned, spread, forbid, top)

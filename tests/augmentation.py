@@ -296,7 +296,7 @@ def classes(n, split):
 @cache
 def section(n, split):
     """The payload of the table's section for n vertices, in the layout
-    `gr._section` documents."""
+    `gr.generation` documents."""
     graphs, decks, orders, complements = generate(n, split)
     words = array("H", [row for G in graphs for row in G.adj] + list(complements)
                   + [p for d in decks for p in d])
@@ -308,9 +308,10 @@ def section(n, split):
 def decoded(n, split):
     """`gr.generation(n, split)` in `generate`'s form, read as `gr.generation`
     lays it out: every graph built through its accessor, every deck and
-    packed order sliced from the flat buffers, and the complements."""
+    packed order sliced from the flat buffers between consecutive offsets,
+    and the complements."""
     gen = gr.generation(n, split)
-    spans = [(s, s + k) for s, k in zip(gen.starts, gen.lens)]
+    spans = list(zip(gen.starts, gen.starts[1:]))
     return (tuple(map(gen.graph, range(len(gen)))),
             tuple(tuple(gen.entries[s:e]) for s, e in spans),
             tuple(gen.orders[s * (n + 1):e * (n + 1)] for s, e in spans),

@@ -355,10 +355,19 @@ class TestDecks:
         # every caller shares the cached section: none of its buffers can be
         # written
         gen = gr.generation(5, True)
-        assert isinstance(gen.lens, bytes) and isinstance(gen.orders, bytes)
+        assert isinstance(gen.classes, bytes) and isinstance(gen.orders, bytes)
         for view in (gen.rows, gen.starts, gen.entries, gen.complements):
             with pytest.raises(TypeError):
                 view[0] = 1
+        # the decks are read by their offsets alone, which span the entries
+        # and their packed orders in every section
+        assert not hasattr(gr.Generation, "lens")
+        for split, top in ((False, gr.MAX_ENUM_ALL), (True, gr.MAX_ENUM_SPLIT)):
+            for n in range(top + 1):
+                gen = gr.generation(n, split)
+                assert len(gen.starts) == len(gen) + 1
+                assert gen.starts[-1] == len(gen.entries)
+                assert len(gen.orders) == len(gen.entries) * (n + 1)
 
     def test_bad_order(self):
         with pytest.raises(errors.MPartError, match="n=9 above the enumeration limit 8"):

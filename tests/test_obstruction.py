@@ -1,5 +1,6 @@
 import json
 import pickle
+from array import array
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -132,23 +133,28 @@ EXTEND_MATRICES = [pat.parse_matrix(rows) for rows in [
 
 def drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch):
     # K3 + K1 is obstructed but not minimal under 2-colouring.  With K3,
-    # the last entry, dropped from its deck (its length one less, which
-    # also drops its last block from the packed orders), the one graph
-    # left there, K2 + K1, partitions, so the walk reaches K3 + K1 as open
-    # (the shortened deck carries its own length), no witness extends, and
-    # classify_minimality finds the obstructed deletion.  The candidates
-    # are built from the patched generation, which lists K3 + K1 under
-    # K2 + K1, through a cache of their own that the patch's undo drops
+    # the last entry, dropped from its deck (the entry, its block of the
+    # packed orders and one from every later offset, together), the one
+    # graph left there, K2 + K1, partitions, so the walk reaches K3 + K1 as
+    # open, no witness extends, and classify_minimality finds the
+    # obstructed deletion.  The candidates are built from the patched
+    # generation, which lists K3 + K1 under K2 + K1, through a cache of
+    # their own that the patch's undo drops
     gen = gr.generation(4, False)
     k3 = [aug.canonical_form(G) for G in gr.enumerate_graphs(3)].index(
         aug.canonical_form(gr.complete(3)))
     i = [aug.canonical_form(G) for G in gr.enumerate_graphs(4)].index(
         aug.canonical_form(gr.disjoint_union(gr.complete(3), gr.empty(1))))
-    assert gen.lens[i] == 2 and aug.decoded(4, False)[1][i][-1] == k3
-    lens = bytearray(gen.lens)
-    lens[i] -= 1
-    patched = gr.Generation(4, gen.rows, bytes(lens), gen.starts, gen.entries, gen.orders,
-                            gen.complements, gen.classes)
+    j = gen.starts[i + 1] - 1
+    assert j - gen.starts[i] == 1 and gen.entries[j] == k3
+    entries = array("H", gen.entries)
+    del entries[j]
+    starts = array("I", (s - (k > i) for k, s in enumerate(gen.starts)))
+    patched = gr.Generation(4, gen.rows, memoryview(starts).toreadonly(),
+                            memoryview(entries).toreadonly(),
+                            gen.orders[:j * 5] + gen.orders[(j + 1) * 5:], gen.complements,
+                            gen.classes)
+    assert patched.starts[-1] == len(patched.entries) == len(patched.orders) // 5
     generation = ob.generation
     monkeypatch.setattr(ob, "generation", lambda n, split: (
         patched if (n, split) == (4, False)
