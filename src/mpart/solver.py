@@ -208,25 +208,25 @@ def solve_split(G: Graph, M: PatternMatrix) -> PartAssignment | None:
     return PartAssignment(parts)
 
 
-def count_partitions(G: Graph, M: PatternMatrix) -> int:
-    """Number of valid total assignments, an oracle for solve.
+def exists_partition(G: Graph, M: PatternMatrix) -> tuple[int, ...] | None:
+    """The lexicographically least valid assignment, or None; the empty
+    graph's, (), is falsy, so test the result with `is None`.
 
-    A depth-first count assigns vertices 0..n-1 in order and checks each new
-    vertex's pairs with the earlier ones entry by entry from M.rows and
-    G.adj; it shares no masks and no search with solve.
+    An oracle for solve: a depth-first search assigns vertices 0..n-1 in order,
+    lowest part first, checking each new vertex against the earlier ones entry
+    by entry from M.rows and G.adj.  It shares no masks and no search with solve.
     """
     n, m = G.n, M.m
     if n > 10 or m > 4:
-        raise MPartError(f"count_partitions guarded at n <= 10, m <= 4 (n={n}, m={m})")
+        raise MPartError(f"exists_partition guarded at n <= 10, m <= 4 (n={n}, m={m})")
     rows = M.rows
     adj = G.adj
     parts = [0] * n
 
-    def count(v: int) -> int:
+    def extend(v: int) -> bool:
         if v == n:
-            return 1
+            return True
         av = adj[v]
-        total = 0
         for p in range(m):
             rp = rows[p]
             for u in range(v):
@@ -235,7 +235,8 @@ def count_partitions(G: Graph, M: PatternMatrix) -> int:
                     break
             else:
                 parts[v] = p
-                total += count(v + 1)
-        return total
+                if extend(v + 1):
+                    return True
+        return False
 
-    return count(0)
+    return tuple(parts) if extend(0) else None

@@ -47,36 +47,38 @@ def _diag_star_free_matrices() -> list[pat.PatternMatrix]:
     return two + _matrices_3x3("01")
 
 
+def _oracle_disagreements(matrices, graphs) -> int:
+    """How many (matrix, graph) pairs solve and exists_partition disagree on."""
+    return sum((sv.solve(G, M) is None) != (sv.exists_partition(G, M) is None)
+               for M in matrices for G in graphs)
+
+
 # --- criteria -------------------------------------------------------------
 
 def check_odd_cycle_obstructions():
-    """König's theorem up to seven vertices: the minimal obstructions to two
-    independent sets (0*;*0) are C3, C5 and C7, and those to two cliques
-    (1*;*1) their complements."""
+    """König's theorem up to the class limit, eight vertices: the minimal
+    obstructions to two independent sets (0*;*0) are C3, C5 and C7, and
+    those to two cliques (1*;*1) their complements."""
+    limit = ob.CLASS_LIMITS["all"]
     got = [{g6 for g6, _ in ob.enumerate_minimal_obstructions(
-        pat.make_kl_matrix(k, ell), "all", 7).obstructions} for k, ell in ((2, 0), (0, 2))]
+        pat.make_kl_matrix(k, ell), "all", limit).obstructions} for k, ell in ((2, 0), (0, 2))]
     cycles = [gr.cycle(3), gr.cycle(5), gr.cycle(7)]
     want = [_representatives(cycles), _representatives(map(gr.complement, cycles))]
     return got == want, f"found {sorted(got[0])} under 0*;*0, {sorted(got[1])} under 1*;*1"
 
 
 def check_split_characterization():
+    """Földes and Hammer up to the class limit, eight vertices: the minimal
+    obstructions to a split partition (0*;*1) are 2K2, C4 and C5, and solve
+    agrees with exists_partition on every graph up to six vertices."""
     M = pat.make_kl_matrix(1, 1)
-    report = ob.enumerate_minimal_obstructions(M, "all", 6)
-    got = {g6 for g6, _ in report.obstructions}
-    want = _representatives([
-        gr.disjoint_union(gr.complete(2), gr.complete(2)),
-        gr.cycle(4),
-        gr.cycle(5),
-    ])
-    # cross-check solvability of every candidate against the counting oracle
-    mismatches = 0
-    for n in range(1, 7):
-        for G in gr.enumerate_graphs(n):
-            if (sv.count_partitions(G, M) > 0) != (sv.solve(G, M) is not None):
-                mismatches += 1
-    ok = got == want and mismatches == 0
-    return ok, f"found {sorted(got)}, oracle mismatches {mismatches}"
+    got = {g6 for g6, _ in ob.enumerate_minimal_obstructions(
+        M, "all", ob.CLASS_LIMITS["all"]).obstructions}
+    want = _representatives(
+        [gr.disjoint_union(gr.complete(2), gr.complete(2)), gr.cycle(4), gr.cycle(5)])
+    mismatches = _oracle_disagreements(
+        [M], [G for n in range(1, 7) for G in gr.enumerate_graphs(n)])
+    return got == want and mismatches == 0, f"found {sorted(got)}, oracle mismatches {mismatches}"
 
 
 def check_feder2008_bound():
@@ -254,16 +256,13 @@ def check_prop4_homogeneity():
 
 
 def check_solver_exactness():
+    """solve and exists_partition agree on whether a partition exists, for
+    every graph up to five vertices under each of the 729 3x3 matrices."""
     matrices = _matrices_3x3("01*")
     graphs = [G for n in range(1, 6) for G in gr.enumerate_graphs(n)]
-    disagreements = 0
-    for M in matrices:
-        for G in graphs:
-            if (sv.solve(G, M) is not None) != (sv.count_partitions(G, M) > 0):
-                disagreements += 1
-    return disagreements == 0, (
-        f"{len(matrices)} matrices x {len(graphs)} graphs, {disagreements} disagreements"
-    )
+    disagreements = _oracle_disagreements(matrices, graphs)
+    return disagreements == 0, (f"{len(matrices)} matrices x {len(graphs)} graphs, "
+                                f"{disagreements} disagreements")
 
 
 def check_solve_split_equivalence():

@@ -422,23 +422,16 @@ class TestFault:
         assert err.startswith("Traceback") and "ZeroDivisionError: a fault" in err
 
 
-def test_cli_import_loads_no_process_pool():
-    # a fresh interpreter, so no other test's imports count
-    code = ("import sys, mpart.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
-
-
 def test_cold_imports_stay_lazy():
     # a fresh interpreter each, with no site module, whose .pth files may
     # load pathlib themselves: the CLI loads verify only in `mpart verify`
-    # and no dataclasses, inspect or pathlib; enumeration reads class
-    # membership from the table and loads no recognizer; and the package
-    # root loads no recognizer, enumeration or CLI
+    # and no dataclasses, inspect, pathlib or process pool; enumeration
+    # reads class membership from the table and loads no recognizer; and
+    # the package root loads no recognizer, enumeration or CLI
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mpart.__file__))}
     for module, absent in (
-            ("mpart.cli", ["mpart.verify", "dataclasses", "inspect", "pathlib"]),
+            ("mpart.cli", ["mpart.verify", "dataclasses", "inspect", "pathlib",
+                           "concurrent", "multiprocessing"]),
             ("mpart.obstruction", ["mpart.recognize"]),
             ("mpart", ["mpart.recognize", "mpart.obstruction", "mpart.cli"])):
         code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"

@@ -1,4 +1,4 @@
-"""Property tests: the solver against the counting oracle and against the
+"""Property tests: the solver against the first-solution oracle and against the
 search without its interchangeable-part skip and backjumps, the table
 generator's canonical form (`augmentation.py`) under relabelling and against
 refinement by every cell, round-trips of the text formats, and the CLI on
@@ -52,13 +52,13 @@ def matrices(draw, max_m, min_m=1, diagonal="01*"):
 
 @fixed(300)
 @given(graphs(7), matrices(3))
-def test_solve_agrees_with_count_and_its_witness_validates(G, M):
+def test_solve_agrees_with_exists_partition_and_both_assignments_validate(G, M):
     w = sv.solve(G, M)
-    if w is None:
-        assert sv.count_partitions(G, M) == 0
-    else:
+    first = sv.exists_partition(G, M)
+    assert (w is None) == (first is None)
+    if w is not None:
         assert sv.validate(G, M, w.parts)
-        assert sv.count_partitions(G, M) > 0
+        assert sv.validate(G, M, first)
 
 
 @st.composite

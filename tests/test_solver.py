@@ -31,6 +31,16 @@ def random_matrix(rng, m, star_diag=False):
     return pat.make_matrix(["".join(r) for r in rows])
 
 
+def first_valid_assignment(G, M):
+    """The first assignment in product order that every pair's entry allows."""
+    def valid(parts):
+        return all(M.rows[parts[u]][parts[v]] == "*"
+                   or (M.rows[parts[u]][parts[v]] == "1") == G.has_edge(u, v)
+                   for u in range(G.n) for v in range(u + 1, G.n))
+
+    return next((p for p in product(range(M.m), repeat=G.n) if valid(p)), None)
+
+
 class TestValidate:
     def test_c4_bipartition(self):
         assert sv.validate(gr.cycle(4), pat.make_kl_matrix(2, 0), [0, 1, 0, 1])
@@ -105,32 +115,29 @@ class TestSolve:
                     assert (None if w is None else w.parts) == unpruned_solve(G, M)
 
 
-class TestCountPartitions:
+class TestExistsPartition:
     def test_empty_graph(self):
-        assert sv.count_partitions(gr.empty(0), pat.parse_matrix("0*;*1")) == 1
+        assert sv.exists_partition(gr.empty(0), pat.parse_matrix("0*;*1")) == ()
 
     def test_k1(self):
-        assert sv.count_partitions(gr.empty(1), pat.parse_matrix("0")) == 1
+        assert sv.exists_partition(gr.empty(1), pat.parse_matrix("0")) == (0,)
 
-    def test_k2_two_orientations(self):
-        assert sv.count_partitions(gr.complete(2), pat.make_kl_matrix(2, 0)) == 2
+    def test_k2_takes_the_lowest_parts(self):
+        assert sv.exists_partition(gr.complete(2), pat.make_kl_matrix(2, 0)) == (0, 1)
+        assert sv.exists_partition(gr.complete(2), pat.parse_matrix("0")) is None
 
     def test_guard(self):
         with pytest.raises(errors.MPartError, match=r"guarded at n <= 10, m <= 4 \(n=11, m=1\)"):
-            sv.count_partitions(gr.empty(11), pat.parse_matrix("0"))
+            sv.exists_partition(gr.empty(11), pat.parse_matrix("0"))
         with pytest.raises(errors.MPartError, match=r"guarded at n <= 10, m <= 4 \(n=1, m=5\)"):
-            sv.count_partitions(gr.empty(1), pat.make_kl_matrix(3, 2))
+            sv.exists_partition(gr.empty(1), pat.make_kl_matrix(3, 2))
 
-    def test_matches_brute_force_product_count(self):
+    def test_matches_the_lexicographic_brute_force(self):
         mats = [pat.make_matrix([a + b, b + c]) for a, b, c in product("01*", repeat=3)]
         for n in range(6):
             for G in gr.enumerate_graphs(n):
                 for M in mats:
-                    want = sum(all(M.rows[parts[u]][parts[v]] == "*"
-                                   or (M.rows[parts[u]][parts[v]] == "1") == G.has_edge(u, v)
-                                   for u in range(n) for v in range(u + 1, n))
-                               for parts in product(range(2), repeat=n))
-                    assert sv.count_partitions(G, M) == want
+                    assert sv.exists_partition(G, M) == first_valid_assignment(G, M)
 
 
 class TestExactness:
@@ -140,7 +147,7 @@ class TestExactness:
         for n in range(1, 5):
             for G in gr.enumerate_graphs(n):
                 for M in mats:
-                    assert (sv.solve(G, M) is not None) == (sv.count_partitions(G, M) > 0)
+                    assert (sv.solve(G, M) is None) == (sv.exists_partition(G, M) is None)
 
     def test_complement_duality(self):
         # complementing G and M swaps each part's clique and independent
