@@ -139,3 +139,17 @@ def test_every_catalog_at_the_class_limits():
              for report in [ob.enumerate_minimal_obstructions(M, name, limit)]
              for out in (ob.report_to_json(report), ob.report_to_tsv(report)))
     assert _digest(lines) == "6d8cc7ae5080af6ce3cdb78b4d9bc8dbdafe4129635304c860e73ed77f54daa8"
+
+
+def test_catalogs_of_four_and_five_part_matrices():
+    # at n <= 8 in the all, bipartite and chordal classes; under five parts
+    # a vertex's slot in the walk's integer encoding is two bytes
+    digests = {rows: _digest(ob.report_to_json(ob.enumerate_minimal_obstructions(
+        pat.parse_matrix(rows), name, 8)) for name in ("all", "bipartite", "chordal"))
+        for rows in ("0*10;*1*1;1*01;0111", "0*1*0;*0*1*;1*1*0;*1*0*;0*0*1")}
+    assert digests == {
+        "0*10;*1*1;1*01;0111":
+            "069c7c83239aa1936193e4d8f9010236af107c80b564466b4fdb420b60080610",
+        "0*1*0;*0*1*;1*1*0;*1*0*;0*0*1":
+            "f356b88b5387e8eaf7152fe036a8cd90a68eb61d7213e9d29e54198acf01923e",
+    }

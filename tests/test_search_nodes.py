@@ -13,6 +13,7 @@ from types import CodeType
 
 from mpart import graph as gr
 from mpart import obstruction as ob
+from mpart import pattern as pat
 from mpart import solver as sv
 from mpart import verify as vf
 
@@ -56,3 +57,32 @@ def test_the_solves_of_solver_exactness():
                 sv.solve(G, M)
 
     assert search_nodes(run) == 59054
+
+
+def test_a_slice_of_the_warm_sweep(monkeypatch):
+    # 0*1;*1*;1*0 in the all class at n <= 8: of the 3,426 open candidates,
+    # 3,363 extend a deck parent's parts and 63 are classified
+    calls = {"open": 0, "extended": 0, "classified": 0, "solve": 0}
+    extend, classify, solve = ob._extend, ob.classify_minimality, ob.solve
+
+    def extending(*args):
+        parts = extend(*args)
+        calls["open"] += 1
+        calls["extended"] += parts is not None
+        return parts
+
+    def classifying(G, M):
+        calls["classified"] += 1
+        return classify(G, M)
+
+    def solving(G, M):
+        calls["solve"] += 1
+        return solve(G, M)
+
+    monkeypatch.setattr(ob, "_extend", extending)
+    monkeypatch.setattr(ob, "classify_minimality", classifying)
+    monkeypatch.setattr(ob, "solve", solving)
+    M = pat.parse_matrix("0*1;*1*;1*0")
+    nodes = search_nodes(lambda: ob.enumerate_minimal_obstructions(M, "all", 8))
+    assert calls == {"open": 3426, "extended": 3363, "classified": 63, "solve": 429}
+    assert nodes == 3604
