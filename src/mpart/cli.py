@@ -17,7 +17,6 @@ import sys
 from . import __version__
 from . import obstruction as ob
 from . import pattern as pat
-from . import recognize as rec
 from . import solver as sv
 from .errors import InternalError, MPartError
 from .graph import Graph, parse_edge_list, parse_graph6, to_graph6
@@ -153,6 +152,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    from . import recognize as rec  # only this command reads it
     G = _load_graph(args)
     cls = args.class_name
     witness = rec.RECOGNIZERS[cls](G)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="graph-class recognition with witness")
     p.add_argument("--class", dest="class_name", required=True,
-                   choices=sorted(rec.RECOGNIZERS))
+                   choices=sorted(ob.CLASS_LIMITS.keys() - {"all"}))
     _graph_args(p)
     p.set_defaults(func=cmd_recognize)
 

@@ -127,9 +127,10 @@ def _candidates(class_name: str, n: int):
     the sorted tuple of the members i whose deck ends with p, its largest
     entry entries[starts[i + 1] - 1], so each member is listed once.  The
     class is hereditary, so every member's deck holds only members of order
-    n - 1, and the walk needs no other children.  A class that runs
-    another's walk (cobipartite) has no candidates and is refused.  No graph
-    is built."""
+    n - 1, and the walk needs no other children: it reaches a member under
+    a partitionable p and finds an obstructed entry as `_extend` reads the
+    deck, before any parent extends it.  A class that runs another's walk
+    (cobipartite) has no candidates and is refused.  No graph is built."""
     _, split, bit, dual = _CLASSES[class_name]
     if dual is not None:
         raise InternalError(f"{class_name} has no candidates: its walk is {dual}'s")
@@ -183,35 +184,53 @@ def _forbidden(M: PatternMatrix, ones: int) -> tuple[int, ...]:
                  for adj_ok, nonadj_ok in zip(*M.masks))
 
 
-def _extend(gen, i, partitioned, spread, forbid, top: bool):
-    """Parts of the i-th candidate of the generation gen, one byte per
-    vertex, from the first parent in its deck whose parts extend to the
-    vertex the parent lacks, or None when none does.  Nothing reads the
-    parts at the top order, so none are built there, and an extending
-    candidate gets b"".
-
-    partitioned maps each partitionable parent to (code, parts), with code
-    as `_layout` encodes parts.  The candidate's packed orders give the new
-    vertex's neighbourhood nb in the parent's numbering, so code &
-    spread[nb] holds the parts of its neighbours and of its non-neighbours,
-    and the new vertex takes the lowest part q whose forbid[q]
-    (`_forbidden`) holds none of them.  The parent's parts carry over
-    through the order `generation` keeps for it.  Deck entry j, for j in
-    range(starts[i], starts[i + 1]), and its block at j * (n + 1) of orders
-    are read in place, not built: this runs once per open candidate."""
+def _extend(gen, children, partitioned, spread, forbid, codes, top: bool):
+    """(extended, unextended) of one order of the walk over the candidates
+    children (`_candidates`) lists under the keys of partitioned, the
+    partitionable graphs of order n - 1, each mapped to (code, parts) as
+    `_layout` encodes them.  extended maps each candidate whose parts
+    extend a deck parent's to its (code, parts), and is empty at the top
+    order, whose parts nothing reads; unextended lists, as reached, those
+    whose whole deck partitions and no parent extends.  Each deck is read
+    once, in deck order, to whichever comes first:
+    - an entry not in partitioned: the candidate is obstructed and not
+      minimal, and no earlier parent extended it, as an extension would
+      partition it and so every deletion;
+    - the first parent whose parts extend.  Deck entry j's block, at
+      j * (n + 1) of orders, ends with the new vertex's neighbourhood nb in
+      the parent's numbering, so code & spread[nb] holds the parts of its
+      neighbours and non-neighbours, and it takes the lowest part q whose
+      forbid[q] (`_forbidden`) holds none; the parent's parts carry over
+      through the block's order;
+    - the end of the deck.
+    The tables are read in place, and no function is called per candidate."""
     n, entries, orders, starts = gen.n, gen.entries, gen.orders, gen.starts
-    for j in range(starts[i], starts[i + 1]):
-        code, parts = partitioned[entries[j]]
-        end = j * (n + 1) + n  # the block's nb
-        seen = code & spread[orders[end]]
-        for q, bad in enumerate(forbid):
-            if not seen & bad:
-                if top:
-                    return b""
-                # vertex k of the graph takes the part of the parent's
-                # vertex order[k], and q for the new vertex n - 1
-                return bytes(map((parts + bytes((q,))).__getitem__, orders[end - n:end]))
-    return None
+    get = partitioned.get
+    extended, unextended = {}, []
+    for p in partitioned:
+        for i in children[p]:
+            j = starts[i]
+            while (parent := get(entries[j])) is not None:
+                code, parts = parent
+                end = j * (n + 1) + n  # the block's nb
+                seen = code & spread[orders[end]]
+                for q, bad in enumerate(forbid):
+                    if not seen & bad:
+                        break
+                else:  # no part takes the new vertex: the next entry
+                    j += 1
+                    if j < starts[i + 1]:
+                        continue
+                    unextended.append(i)
+                    break
+                if not top:
+                    # vertex k takes the part of the parent's vertex
+                    # order[k], and q for the new vertex n - 1
+                    parts = bytes(map((parts + bytes((q,))).__getitem__, orders[end - n:end]))
+                    extended[i] = (int.from_bytes(b"".join(map(codes.__getitem__, parts)),
+                                                  "little"), parts)
+                break
+    return extended, unextended
 
 
 # equal certificates are one object while anything holds them; the table
@@ -236,33 +255,26 @@ def enumerate_minimal_obstructions(
     cobipartite.
 
     Otherwise the walk goes up one order at a time, from the partitionable
-    candidates of order n - 1 to their children (`_candidates` lists each
-    member once, under the last entry of its deck).  A child is open, every
-    deletion partitioning, when the rest of its deck is partitionable too.
-    Any other candidate, under an obstructed parent or with one elsewhere
-    in its deck (a deck on n >= 1 vertices is not empty), has a deletion
-    that is a member of order n - 1 and did not partition.
-    Partitionability is hereditary, so that candidate is obstructed and not
-    minimal, and it is not visited.
-
-    An open candidate first tries to extend a deck parent's parts by one
-    vertex (`_extend`).  Only when none extends is its graph built and
-    classified by `classify_minimality`; it is then partitionable or
-    minimal.  The parts of the partitionable candidates, each with its
-    integer code (`_layout`), made once, are the only state kept for the
-    next order.
-    Nothing reads the top order's parts, so none are built or kept there.
+    candidates of order n - 1 to their children (`_candidates`).  `_extend`
+    reads each child's deck once.  It stops at an obstructed deletion, a
+    member of order n - 1, which makes the child obstructed and not minimal
+    (partitionability is hereditary), or at the first parent whose parts
+    extend by one vertex, before which no deletion was obstructed, since
+    the extension partitions the child.  Only a child whose whole deck
+    partitions and that no parent extends is built and classified by
+    `classify_minimality`; it is then partitionable or minimal.  The parts
+    of the partitionable candidates, with their integer codes (`_layout`),
+    are the only state kept for the next order.
     The outputs are those of classifying every open candidate: an
-    extended candidate is partitionable, which emits nothing; every other
-    one is classified as before; and a minimal obstruction's witnesses come
-    from `solve(delete_vertex(G, v))`, never from kept parts.  Open
-    candidates are visited in the order they are reached, and the
-    obstructions are sorted once, at the end, into catalog order: by order,
-    then by the generation's index of the emitted graph's class.  Equal
-    certificates, and so their witnesses, are one object while anything
-    holds them, across reports too (`_CERTIFICATES`), and graph6 strings
-    are interned; a certificate is built only when no equal one is held.
-    jobs is accepted for compatibility and ignored.
+    extended one is partitionable, which emits nothing, and a minimal
+    obstruction's witnesses come from `solve(delete_vertex(G, v))`, never
+    from kept parts.  Candidates are visited in the order they are reached,
+    and the obstructions are sorted once, at the end, into catalog order:
+    by order, then by the generation's index of the emitted graph's class.
+    Equal certificates, and so their witnesses, are one object while
+    anything holds them, across reports too (`_CERTIFICATES`), and graph6
+    strings are interned; a certificate is built only when no equal one is
+    held.  jobs is accepted for compatibility and ignored.
 
     cobipartite runs bipartite's walk under complement_matrix(M): a graph's
     complement has an M-partition exactly when the graph has a
@@ -281,8 +293,7 @@ def enumerate_minimal_obstructions(
     if decided_by_pattern(M, class_name):
         return EnumerationReport(M, class_name, n_max, ())
     walk, W = (dual, complement_matrix(M)) if dual else (class_name, M)
-    # ((order, index of the class emitted), graph emitted, witnesses) of
-    # the minimal obstructions
+    # ((order, index of the class emitted), graph emitted, witnesses) each
     found = []
     ones, spread, codes = _layout(W.m)
     forbid = _forbidden(W, ones)
@@ -291,33 +302,21 @@ def enumerate_minimal_obstructions(
     partitioned = {0: (0, b"")}
     for n in range(1, n_max + 1):
         gen = generation(n, split)
-        starts, entries = gen.starts, gen.entries
         _, children = _candidates(walk, n)
         top = n == n_max
-        # the open candidates: those under a partitionable last deck entry,
-        # entries[starts[i + 1] - 1], whose other entries partition too; the
-        # others have an obstructed deletion
-        contains = partitioned.__contains__
-        opened = [i for p in partitioned for i in children[p]
-                  if all(map(contains, entries[starts[i]:starts[i + 1] - 1]))]
-        parts_now: dict[int, tuple[int, bytes]] = {}
-        for i in opened:
-            parts = _extend(gen, i, partitioned, spread, forbid, top)
-            if parts is None:
-                G = gen.graph(i)
-                status, payload = classify_minimality(G, W)
-                if status == "not-minimal":
-                    raise InternalError(
-                        f"{to_graph6(G)} has an obstructed deletion missing from its deck")
-                if status == "minimal":
-                    found.append(((n, gen.complements[i]), complement(G), payload) if dual
-                                 else ((n, i), G, payload))
-                    continue
-                parts = bytes(payload.parts)
-            if not top:  # no order reads the last one's parts
-                code = int.from_bytes(b"".join(map(codes.__getitem__, parts)), "little")
-                parts_now[i] = (code, parts)
-        partitioned = parts_now
+        partitioned, unextended = _extend(gen, children, partitioned, spread, forbid, codes, top)
+        for i in unextended:
+            G = gen.graph(i)
+            status, payload = classify_minimality(G, W)
+            if status == "not-minimal":
+                raise InternalError(
+                    f"{to_graph6(G)} has an obstructed deletion missing from its deck")
+            if status == "minimal":
+                found.append(((n, gen.complements[i]), complement(G), payload) if dual
+                             else ((n, i), G, payload))
+            elif not top:  # no order reads the last one's parts
+                code = int.from_bytes(b"".join(map(codes.__getitem__, payload.parts)), "little")
+                partitioned[i] = (code, bytes(payload.parts))
     found.sort(key=lambda f: f[0])
     obstructions = []
     for _, G, ws in found:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -15,9 +16,10 @@ import mpart
 from mpart import graph as gr
 from mpart import obstruction as ob
 from mpart import pattern as pat
+from mpart import recognize as rec
 from mpart import solver as sv
 from mpart import verify as vf
-from mpart.cli import main
+from mpart.cli import build_parser, main
 from test_obstruction import drop_k3_from_the_deck_of_k3_plus_k1
 
 
@@ -422,16 +424,25 @@ class TestFault:
         assert err.startswith("Traceback") and "ZeroDivisionError: a fault" in err
 
 
+def test_recognize_offers_every_recognizer():
+    # the choices come from the enumeration classes, so that the CLI loads
+    # recognize only in `mpart recognize`
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    cls = next(a for a in sub.choices["recognize"]._actions if a.dest == "class_name")
+    assert cls.choices == sorted(rec.RECOGNIZERS)
+
+
 def test_cold_imports_stay_lazy():
     # a fresh interpreter each, with no site module, whose .pth files may
-    # load pathlib themselves: the CLI loads verify only in `mpart verify`
-    # and no dataclasses, inspect, pathlib or process pool; enumeration
-    # reads class membership from the table and loads no recognizer; and
-    # the package root loads no recognizer, enumeration or CLI
+    # load pathlib themselves: the CLI loads verify and recognize only in
+    # their own commands and no dataclasses, inspect, pathlib or process
+    # pool; enumeration reads class membership from the table and loads no
+    # recognizer; and the package root loads no recognizer, enumeration or
+    # CLI
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mpart.__file__))}
     for module, absent in (
-            ("mpart.cli", ["mpart.verify", "dataclasses", "inspect", "pathlib",
-                           "concurrent", "multiprocessing"]),
+            ("mpart.cli", ["mpart.verify", "mpart.recognize", "dataclasses", "inspect",
+                           "pathlib", "concurrent", "multiprocessing"]),
             ("mpart.obstruction", ["mpart.recognize"]),
             ("mpart", ["mpart.recognize", "mpart.obstruction", "mpart.cli"])):
         code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"

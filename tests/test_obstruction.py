@@ -100,9 +100,11 @@ def classify_open_report(M, class_name, n_max):
 
 
 def per_vertex_extend(G, deck, packed, partitioned, M):
-    """`_extend` vertex by vertex, from G's adjacency: the parts of G from
-    the first deck parent whose parts extend, each vertex of G read through
-    the parent's order, the first n bytes of its block in packed, or None."""
+    """`_extend`'s extension of one candidate, vertex by vertex, from G's
+    adjacency: the parts of G from the first deck parent whose parts
+    extend, each vertex of G read through the parent's order, the first n
+    bytes of its block in packed, or None.  Every parent in the deck must
+    partition."""
     n = G.n
     adj_ok, nonadj_ok = M.masks
     for j, p in enumerate(deck):
@@ -317,32 +319,44 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("class_name", sorted(ob.CLASS_LIMITS))
     def test_extension_matches_the_per_vertex_oracle(self, class_name, monkeypatch):
-        # every open candidate's extension equals the one found vertex by
-        # vertex from the candidate's own adjacency, under the matrix the
-        # walk runs (in cobipartite, the bipartite walk under the complement
-        # matrix); at the top order only whether one exists
+        # each order's walk against the candidates' own adjacency, under the
+        # matrix the walk runs (in cobipartite, the bipartite walk under the
+        # complement matrix): below the top order, every extended
+        # candidate's parts are those found vertex by vertex; at every
+        # order, the unextended candidates are exactly the reached ones
+        # whose whole deck partitions and that no parent extends, in the
+        # order reached; and a candidate with an obstructed deletion is in
+        # neither
         extend = ob._extend
         limit = ob.CLASS_LIMITS[class_name]
         tables = [aug.decoded(n, class_name == "split") for n in range(limit + 1)]
         outcomes = set()
 
-        def checking(gen, i, partitioned, spread, forbid, top):
-            got = extend(gen, i, partitioned, spread, forbid, top)
+        def checking(gen, children, partitioned, spread, forbid, codes, top):
+            extended, unextended = extend(gen, children, partitioned, spread, forbid, codes, top)
             graphs, decks, orders, _ = tables[gen.n]
-            want = per_vertex_extend(graphs[i], decks[i], orders[i], partitioned, W)
+            reached = [i for p in partitioned for i in children[p]]
+            whole = [i for i in reached if partitioned.keys() >= set(decks[i])]
+            want = {i: per_vertex_extend(graphs[i], decks[i], orders[i], partitioned, W)
+                    for i in whole}
+            assert unextended == [i for i in whole if want[i] is None]
             if top:
-                assert (got is None) == (want is None)
+                assert extended == {}
             else:
-                assert got == want
-            outcomes.add((M.m, got is not None))
-            return got
+                assert {i: parts for i, (_, parts) in extended.items()} == {
+                    i: parts for i, parts in want.items() if parts is not None}
+            missing = set(reached) - set(whole)
+            assert missing.isdisjoint(extended) and missing.isdisjoint(unextended)
+            outcomes.update((M.m, want[i] is not None) for i in whole)
+            outcomes.update((M.m, None) for i in missing)
+            return extended, unextended
 
         monkeypatch.setattr(ob, "_extend", checking)
         for M in EXTEND_MATRICES:
             W = pat.complement_matrix(M) if class_name == "cobipartite" else M
             ob.enumerate_minimal_obstructions(M, class_name, limit)
         assert {m for m, _ in outcomes} == {2, 3, 4, 9}
-        assert {extended for _, extended in outcomes} == {False, True}
+        assert {extended for _, extended in outcomes} == {False, True, None}
 
     def test_a_deck_missing_an_obstructed_deletion_raises_internal_error(self, monkeypatch):
         drop_k3_from_the_deck_of_k3_plus_k1(monkeypatch)

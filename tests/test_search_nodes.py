@@ -65,11 +65,17 @@ def test_a_slice_of_the_warm_sweep(monkeypatch):
     calls = {"open": 0, "extended": 0, "classified": 0, "solve": 0}
     extend, classify, solve = ob._extend, ob.classify_minimality, ob.solve
 
-    def extending(*args):
-        parts = extend(*args)
-        calls["open"] += 1
-        calls["extended"] += parts is not None
-        return parts
+    def extending(gen, children, partitioned, spread, forbid, codes, top):
+        # open: reached, with every deck entry partitionable; the top order
+        # keeps no parts, so its extended ones are the open ones left over
+        extended, unextended = extend(gen, children, partitioned, spread, forbid, codes, top)
+        starts, entries = gen.starts, gen.entries
+        opened = sum(partitioned.keys() >= set(entries[starts[i]:starts[i + 1]])
+                     for p in partitioned for i in children[p])
+        assert len(extended) == (0 if top else opened - len(unextended))
+        calls["open"] += opened
+        calls["extended"] += opened - len(unextended)
+        return extended, unextended
 
     def classifying(G, M):
         calls["classified"] += 1
