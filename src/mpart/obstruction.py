@@ -293,7 +293,8 @@ def enumerate_minimal_obstructions(
     if decided_by_pattern(M, class_name):
         return EnumerationReport(M, class_name, n_max, ())
     walk, W = (dual, complement_matrix(M)) if dual else (class_name, M)
-    # ((order, index of the class emitted), graph emitted, witnesses) each
+    # ((order, index of the class emitted), graph emitted, witnesses) of
+    # the minimal obstructions
     found = []
     ones, spread, codes = _layout(W.m)
     forbid = _forbidden(W, ones)
