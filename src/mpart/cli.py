@@ -239,16 +239,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     timeout = getattr(args, "timeout", 0)
-    if timeout:
-        def _raise(signum, frame):
-            raise _Timeout
-
-        signal.signal(signal.SIGALRM, _raise)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, timeout)
-        except OverflowError as exc:
-            parser.error(f"argument --timeout: {timeout:g} seconds is too large for the timer ({exc})")
     try:
+        if timeout:
+            def _raise(signum, frame):
+                raise _Timeout
+
+            signal.signal(signal.SIGALRM, _raise)
+            # armed inside the try: a timer this short can fire before
+            # setitimer returns
+            try:
+                signal.setitimer(signal.ITIMER_REAL, timeout)
+            except OverflowError as exc:
+                parser.error(f"argument --timeout: {timeout:g} seconds is too large for the timer ({exc})")
         return args.func(args)
     except _Timeout:
         print(json.dumps({"result": "indeterminate", "reason": "timeout"}))

@@ -12,7 +12,6 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, compress
 from math import comb
-from sys import intern
 
 from . import __version__
 from .errors import InternalError, MPartError
@@ -34,12 +33,9 @@ from .solver import PartAssignment, solve
 
 class MinimalityCertificate(Frozen):
     """A minimal obstruction and a witness for each of its deletions:
-    witnesses[v] partitions graph - v.  Equal certificates are shared
-    through a weak table (_CERTIFICATES), so a certificate can be weakly
-    referenced."""
+    witnesses[v] partitions graph - v."""
 
-    __slots__ = ("graph", "witnesses", "__weakref__")
-    _fields = ("graph", "witnesses")
+    __slots__ = _fields = ("graph", "witnesses")
 
     def __init__(self, graph: Graph, witnesses: tuple[PartAssignment, ...]):
         object.__setattr__(self, "graph", graph)
@@ -52,9 +48,12 @@ class EnumerationReport(Frozen):
     under matrix.  Each graph6 is the table's representative of its class
     (`generation`), except in cobipartite: there it is the complement of the
     table's bipartite representative, which is in general not the table's
-    own, and the pairs are sorted into the table's order of their classes."""
+    own, and the pairs are sorted into the table's order of their classes.
+    Equal reports are shared through a weak table (`_REPORTS`), so a report
+    can be weakly referenced."""
 
-    __slots__ = _fields = ("matrix", "class_name", "n_max", "obstructions")
+    __slots__ = ("matrix", "class_name", "n_max", "obstructions", "__weakref__")
+    _fields = ("matrix", "class_name", "n_max", "obstructions")
 
     def __init__(self, matrix: PatternMatrix, class_name: str, n_max: int,
                  obstructions: tuple[tuple[str, MinimalityCertificate], ...]):
@@ -233,12 +232,14 @@ def _extend(gen, children, partitioned, spread, forbid, codes, top: bool):
     return extended, unextended
 
 
-# equal certificates are one object while anything holds them; the table
-# holds them weakly, like pattern._LIVE, so one that nothing else holds is
-# freed
-_CERTIFICATES: weakref.WeakValueDictionary[
-    tuple[Graph, tuple[PartAssignment, ...]], MinimalityCertificate] = \
-    weakref.WeakValueDictionary()
+# equal reports are one object while anything holds them; the table holds
+# them weakly, like pattern._LIVE, so one that nothing else holds is freed
+_REPORTS: weakref.WeakValueDictionary[tuple, EnumerationReport] = weakref.WeakValueDictionary()
+
+
+def _shared(report: EnumerationReport) -> EnumerationReport:
+    """The held report equal to report, or report, which is then held."""
+    return _REPORTS.setdefault(report._key(report), report)
 
 
 def enumerate_minimal_obstructions(
@@ -271,10 +272,10 @@ def enumerate_minimal_obstructions(
     from kept parts.  Candidates are visited in the order they are reached,
     and the obstructions are sorted once, at the end, into catalog order:
     by order, then by the generation's index of the emitted graph's class.
-    Equal certificates, and so their witnesses, are one object while
-    anything holds them, across reports too (`_CERTIFICATES`), and graph6
-    strings are interned; a certificate is built only when no equal one is
-    held.  jobs is accepted for compatibility and ignored.
+    The report returned is the held one equal to it, if any (`_REPORTS`):
+    equal reports are one object while anything holds them.  The walk runs
+    in full on every call; only its result is shared.  jobs is accepted for
+    compatibility and ignored.
 
     cobipartite runs bipartite's walk under complement_matrix(M): a graph's
     complement has an M-partition exactly when the graph has a
@@ -291,7 +292,7 @@ def enumerate_minimal_obstructions(
     if n_max < 0:
         raise MPartError(f"n_max={n_max} is negative")
     if decided_by_pattern(M, class_name):
-        return EnumerationReport(M, class_name, n_max, ())
+        return _shared(EnumerationReport(M, class_name, n_max, ()))
     walk, W = (dual, complement_matrix(M)) if dual else (class_name, M)
     # ((order, index of the class emitted), graph emitted, witnesses) of
     # the minimal obstructions
@@ -319,13 +320,8 @@ def enumerate_minimal_obstructions(
                 code = int.from_bytes(b"".join(map(codes.__getitem__, payload.parts)), "little")
                 partitioned[i] = (code, bytes(payload.parts))
     found.sort(key=lambda f: f[0])
-    obstructions = []
-    for _, G, ws in found:
-        cert = _CERTIFICATES.get((G, ws))
-        if cert is None:
-            cert = _CERTIFICATES[G, ws] = MinimalityCertificate(G, ws)
-        obstructions.append((intern(to_graph6(G)), cert))
-    return EnumerationReport(M, class_name, n_max, tuple(obstructions))
+    return _shared(EnumerationReport(M, class_name, n_max, tuple(
+        (to_graph6(G), MinimalityCertificate(G, ws)) for _, G, ws in found)))
 
 
 # ---------------------------------------------------------------------------

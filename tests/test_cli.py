@@ -278,6 +278,17 @@ class TestTimeout:
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["result"] == "indeterminate"
 
+    @pytest.mark.parametrize("value", ["0.000001", "1e-300"])
+    def test_a_timer_that_fires_at_once_exits_3(self, value):
+        # the alarm can fall inside setitimer itself, before the search
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpart", "solve", "--matrix", "0*;*0", "--graph", C5,
+             "--timeout", value],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["result"] == "indeterminate"
+        assert "Traceback" not in proc.stderr
+
     def test_alarm_after_the_answer_keeps_it(self, tmp_path, monkeypatch):
         # the alarm falls while the catalog is written: the finished work
         # is reported in full with exit 0, not as "indeterminate"

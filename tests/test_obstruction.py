@@ -1,5 +1,5 @@
 import json
-import pickle
+import weakref
 from array import array
 from functools import cache
 from itertools import combinations
@@ -474,22 +474,21 @@ class TestEnumeration:
             assert len(c1.witnesses) == len(c2.witnesses)
             assert all(w1 is w2 for w1, w2 in zip(c1.witnesses, c2.witnesses))
 
-    def test_reports_of_one_pair_share_certificates(self, monkeypatch):
-        # a second report of the same pair, made while the first is held,
-        # reuses its certificate objects and builds none; a certificate
-        # pickles to an equal one
-        M = pat.parse_matrix("0**;*0*;**0")
-        first = ob.enumerate_minimal_obstructions(M, "all", 7)
-        built = []
-        init = ob.MinimalityCertificate.__init__
-        monkeypatch.setattr(ob.MinimalityCertificate, "__init__",
-                            lambda self, *args: built.append(args) or init(self, *args))
-        second = ob.enumerate_minimal_obstructions(M, "all", 7)
-        assert built == []
-        assert first.obstructions and len(first.obstructions) == len(second.obstructions)
-        assert all(c1 is c2 for (_, c1), (_, c2) in zip(first.obstructions, second.obstructions))
-        cert = first.obstructions[-1][1]
-        assert pickle.loads(pickle.dumps(cert)) == cert
+    def test_reports_of_one_pair_are_one_object(self):
+        # a second report of the same pair, made while the first is held, is
+        # the first, whether the walk made it or a part pattern decided it;
+        # a report that nothing holds leaves the table
+        for rows, class_name, walked in (("0**;*0*;**0", "all", True),
+                                         ("0*;*0", "bipartite", False)):
+            M = pat.parse_matrix(rows)
+            first = ob.enumerate_minimal_obstructions(M, class_name, 7)
+            second = ob.enumerate_minimal_obstructions(M, class_name, 7)
+            assert second is first and bool(first.obstructions) == walked
+            assert ob.enumerate_minimal_obstructions(M, class_name, 6) != first
+            key, held = first._key(first), weakref.ref(first)
+            assert ob._REPORTS[key] is first
+            del first, second
+            assert held() is None and key not in ob._REPORTS
 
     def test_negative_n_max(self):
         with pytest.raises(errors.MPartError, match="n_max=-3 is negative"):

@@ -1,9 +1,10 @@
 """The contract every value class keeps, stated once by `graph.Frozen`:
-equal only to its own class with equal fields, hashed, shown and pickled by
-its fields, and read-only.  Only the values shared through a weak table
-(`pattern._LIVE`, `obstruction._CERTIFICATES`) can be weakly referenced,
+equal only to its own class with equal fields, hashed, shown, pickled and
+copied by its fields, and read-only.  Only the values shared through a weak
+table (`pattern._LIVE`, `obstruction._REPORTS`) can be weakly referenced,
 and only PatternMatrix, which caches what it derives, keeps a __dict__."""
 
+import copy
 import pickle
 import weakref
 
@@ -16,6 +17,14 @@ from mpart import solver as sv
 
 PA = sv.PartAssignment
 
+
+def k3_report(n_max):
+    # the report of 0*;*0 in the all class for n_max 3 or 4: the odd cycles,
+    # so only K3
+    cert = ob.MinimalityCertificate(gr.complete(3), (PA((0, 1)),) * 3)
+    return ob.EnumerationReport(pat.make_kl_matrix(2, 0), "all", n_max, (("Bw", cert),))
+
+
 # class -> (a value, built anew on each call; a value of the class not equal to it)
 CASES = {
     gr.Graph: (lambda: gr.cycle(4), lambda: gr.Graph((0,) * 4)),
@@ -23,13 +32,11 @@ CASES = {
     ob.MinimalityCertificate: (
         lambda: ob.MinimalityCertificate(gr.cycle(3), (PA((0, 1)),) * 3),
         lambda: ob.MinimalityCertificate(gr.cycle(3), (PA((1, 0)),) * 3)),
-    ob.EnumerationReport: (
-        lambda: ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 5),
-        lambda: ob.enumerate_minimal_obstructions(pat.make_kl_matrix(2, 0), "all", 4)),
+    ob.EnumerationReport: (lambda: k3_report(4), lambda: k3_report(3)),
     pat.PatternMatrix: (lambda: pat.PatternMatrix(("0*", "*1")),
                         lambda: pat.PatternMatrix(("0*", "*0"))),
 }
-WEAKLY_SHARED = (pat.PatternMatrix, ob.MinimalityCertificate)
+WEAKLY_SHARED = (pat.PatternMatrix, ob.EnumerationReport)
 
 by_class = pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
 
@@ -64,6 +71,16 @@ def test_repr_and_pickle_round_trip(cls):
     b = pickle.loads(pickle.dumps(a))
     assert b == a and hash(b) == hash(a)
     assert pickle.loads(pickle.dumps((a, a)))[1] == a
+
+
+@by_class
+def test_copy_and_deepcopy_give_an_equal_value(cls):
+    # Frozen.__reduce__ rebuilds a copy through __init__: copy's default
+    # would assign each slot, which a value refuses
+    make, _ = CASES[cls]
+    a = make()
+    for b in (copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is cls and b == a and hash(b) == hash(a)
 
 
 @by_class
